@@ -21,27 +21,9 @@ package comm
 
 import (
 	"encoding/binary"
-	"runtime"
-	"time"
 
 	"lcigraph/internal/memtrack"
 )
-
-// idleBackoff yields for short idle streaks and parks briefly for long
-// ones, so the layers' progress threads do not monopolize low-core
-// schedulers. Returns the updated idle counter (0 after work).
-func idleBackoff(idle int, worked bool) int {
-	if worked {
-		return 0
-	}
-	idle++
-	if idle < 64 {
-		runtime.Gosched()
-	} else {
-		time.Sleep(20 * time.Microsecond)
-	}
-	return idle
-}
 
 // Message is one received logical message.
 type Message struct {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lcigraph/internal/concurrent"
+	lci "lcigraph/internal/core"
 	"lcigraph/internal/memtrack"
 	"lcigraph/internal/mpi"
 	"lcigraph/internal/telemetry"
@@ -303,7 +304,7 @@ func (l *ProbeLayer) commThread() {
 		if stopping && l.sendq.Empty() && len(sends) == 0 && allEmpty(aggs) {
 			return
 		}
-		idle = idleBackoff(idle, worked)
+		idle = lci.IdleBackoff(idle, worked)
 	}
 }
 

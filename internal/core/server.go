@@ -9,10 +9,12 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// idleBackoff yields for short idle streaks and parks briefly for long
+// IdleBackoff yields for short idle streaks and parks briefly for long
 // ones, so idle progress loops do not monopolize low-core schedulers. It
-// returns the updated idle counter (0 when work was done).
-func idleBackoff(idle int, worked bool) int {
+// returns the updated idle counter (0 when work was done). The core server,
+// the comm layers' progress threads and the serving loops all back off
+// through it.
+func IdleBackoff(idle int, worked bool) int {
 	if worked {
 		return 0
 	}
@@ -408,7 +410,7 @@ func (e *Endpoint) Serve(stop <-chan struct{}) {
 		if e.injectStall != nil {
 			e.maybeInjectStall(start, stop)
 		}
-		idle = idleBackoff(idle, e.Progress())
+		idle = IdleBackoff(idle, e.Progress())
 	}
 }
 

@@ -234,8 +234,9 @@ type Stats struct {
 	GROCoalesced   int64 // coalesced super-datagrams received and re-split
 	SockDrops      int64 // kernel receive-queue drops reported via SO_RXQ_OVFL
 	PiggybackAcks  int64 // acks carried for free on outgoing DATA packets
-	DelayedAcks    int64 // standalone acks deferred to the delayed-ack tick
-	SockErrors     int64 // transient socket errors absorbed by the reader
+	DelayedAcks    int64 // standalone acks deferred past their data (quiet-wire poll or delayed-ack tick)
+	SockErrors     int64 // transient socket errors absorbed by the receive path
+	InlineRx       int64 // wire datagrams received and handled by progress polls, not reader goroutines
 	RTTNanos       int64 // worst smoothed RTT estimate across peer flows
 }
 

@@ -30,6 +30,7 @@ const (
 	MetricPiggybackAcks  = "lci_net_piggyback_acks_total"
 	MetricDelayedAcks    = "lci_net_delayed_acks_total"
 	MetricSockErrors     = "lci_net_sock_errors_total"
+	MetricInlineRx       = "lci_net_inline_rx_total"
 
 	MetricRingPending       = "lci_fabric_ring_pending"
 	MetricFramesOutstanding = "lci_fabric_frames_outstanding"
@@ -69,6 +70,7 @@ func RegisterStats(reg *telemetry.Registry, stats func() Stats) {
 	field(MetricPiggybackAcks, func(s Stats) int64 { return s.PiggybackAcks })
 	field(MetricDelayedAcks, func(s Stats) int64 { return s.DelayedAcks })
 	field(MetricSockErrors, func(s Stats) int64 { return s.SockErrors })
+	field(MetricInlineRx, func(s Stats) int64 { return s.InlineRx })
 }
 
 // MetricsRegistrar is implemented by providers that can expose their

@@ -58,8 +58,9 @@ var _ Provider = (*Endpoint)(nil)
 // the same shard, on every rank, for the whole run.
 type ShardRoute struct {
 	// Frame returns the shard index in [0,K) that must consume f. It runs
-	// on the provider's delivery path (reader goroutines), so it must be
-	// cheap and must not retain f.
+	// on the provider's delivery path (reader goroutines, or inside any
+	// view's Poll), so it must be cheap, safe for concurrent use and must
+	// not retain f.
 	Frame func(f *Frame) int
 	// Peer, when non-nil, returns the shard that owns all traffic exchanged
 	// with peer. Providers with per-peer state (flows, retransmit queues)

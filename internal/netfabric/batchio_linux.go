@@ -35,7 +35,9 @@ type mmsghdr struct {
 var errBatchUnsupported = errors.New("netfabric: vectored socket I/O unsupported")
 
 // mmsgIO drives sendmmsg/recvmmsg over the provider's socket via its raw
-// descriptor. Reads are reader-goroutine-only; writes are serialized by wmu
+// descriptor. Reads fill the buffers bound by bindRead, so each driver has
+// one reading owner: a shard's reader goroutine, or the progress path's
+// poller under the shard's poll lock. Writes are serialized by wmu
 // (concurrent senders batch under the provider's transmit lock anyway).
 type mmsgIO struct {
 	rc   syscall.RawConn
@@ -149,38 +151,85 @@ func (m *mmsgIO) bindRead(bufs [][]byte) {
 // size, kernel drop count). Returns errBatchUnsupported when the kernel
 // refuses the syscall so the caller can downgrade.
 func (m *mmsgIO) readBatch(sizes []int, cms []rxCmsg) (int, error) {
-	// The kernel overwrites msg_controllen per message; re-arm every entry.
-	for i := range m.rhdrs {
-		m.rhdrs[i].hdr.SetControllen(rxCtrlLen)
-	}
 	n := 0
 	var operr error
 	err := m.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
+		r, e := m.recvmmsg(fd)
 		switch e {
 		case 0:
-			n = int(r)
-		case syscall.EAGAIN:
+			n = r
+		case syscall.EAGAIN, syscall.EINTR:
 			return false // wait for readability (respects the read deadline)
-		case syscall.EINTR:
-			return false
-		case syscall.ENOSYS, syscall.EOPNOTSUPP:
-			operr = errBatchUnsupported
 		default:
-			operr = e
+			operr = recvErr(e)
 		}
 		return true
 	})
-	runtime.KeepAlive(m.rbufs)
-	runtime.KeepAlive(m.rctrls)
 	if err != nil {
 		return 0, err // deadline exceeded or socket closed
 	}
 	if operr != nil {
 		return 0, operr
 	}
+	m.parseRead(n, sizes, cms)
+	return n, nil
+}
+
+// pollBatch is readBatch's never-blocking twin for the progress path: one
+// recvmmsg, returning 0 when the socket queue is empty. It runs under
+// RawConn.Control rather than RawConn.Read because Read takes the fd's read
+// lock, which the shard's reader goroutine holds while parked in the
+// netpoller — the poller would queue behind it instead of draining the
+// socket. The caller must own m's buffers exclusively.
+func (m *mmsgIO) pollBatch(sizes []int, cms []rxCmsg) (int, error) {
+	n := 0
+	var operr error
+	err := m.rc.Control(func(fd uintptr) {
+		r, e := m.recvmmsg(fd)
+		switch e {
+		case 0:
+			n = r
+		case syscall.EAGAIN, syscall.EINTR:
+		default:
+			operr = recvErr(e)
+		}
+	})
+	if err != nil {
+		return 0, err // socket closed
+	}
+	if operr != nil {
+		return 0, operr
+	}
+	m.parseRead(n, sizes, cms)
+	return n, nil
+}
+
+// recvmmsg issues one non-blocking recvmmsg into the bound read buffers.
+func (m *mmsgIO) recvmmsg(fd uintptr) (int, syscall.Errno) {
+	// The kernel overwrites msg_controllen per message; re-arm every entry.
+	for i := range m.rhdrs {
+		m.rhdrs[i].hdr.SetControllen(rxCtrlLen)
+	}
+	r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	runtime.KeepAlive(m.rbufs)
+	runtime.KeepAlive(m.rctrls)
+	return int(r), e
+}
+
+// recvErr maps a recvmmsg failure: a kernel without the call downgrades
+// the shard, anything else is a transient socket error.
+func recvErr(e syscall.Errno) error {
+	if e == syscall.ENOSYS || e == syscall.EOPNOTSUPP {
+		return errBatchUnsupported
+	}
+	return e
+}
+
+// parseRead copies the kernel-filled lengths and ancillary data of the
+// first n received datagrams out of the headers.
+func (m *mmsgIO) parseRead(n int, sizes []int, cms []rxCmsg) {
 	for i := 0; i < n; i++ {
 		sizes[i] = int(m.rhdrs[i].len)
 		if cl := m.rhdrs[i].hdr.Controllen; cl > 0 {
@@ -189,7 +238,6 @@ func (m *mmsgIO) readBatch(sizes []int, cms []rxCmsg) (int, error) {
 			cms[i] = rxCmsg{}
 		}
 	}
-	return n, nil
 }
 
 // writeBatch sends pkts[i] to peer rank dsts[i], batching up to maxWireBatch

@@ -29,6 +29,8 @@ func (m *mmsgIO) bindRead([][]byte) {}
 
 func (m *mmsgIO) readBatch([]int, []rxCmsg) (int, error) { return 0, errBatchUnsupported }
 
+func (m *mmsgIO) pollBatch([]int, []rxCmsg) (int, error) { return 0, errBatchUnsupported }
+
 func (m *mmsgIO) writeBatch([][]byte, []int) error { return errBatchUnsupported }
 
 func (m *mmsgIO) writeTrains([]gsoTrain) error { return errBatchUnsupported }

@@ -2,7 +2,6 @@ package netfabric
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
@@ -101,43 +100,13 @@ func exchangeLossy(t *testing.T, cfg Config, n int) (*Provider, *Provider) {
 	cfg.Fault = Fault{Loss: 0.05, Dup: 0.02, Reorder: 0.02, Seed: 11}
 	a, b := pair(t, cfg)
 	done := make(chan error, 1)
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			size := (i * 977) % 5000 // single-fragment and multi-fragment mix
-			f := pollOne(t, b, 30*time.Second)
-			if f.Header != uint64(i) {
-				t.Errorf("msg %d: out-of-order header %d", i, f.Header)
-				f.Release()
-				return
-			}
-			if !bytes.Equal(f.Data, pattern(i, size)) {
-				t.Errorf("msg %d: payload mismatch (%d bytes)", i, len(f.Data))
-				f.Release()
-				return
-			}
-			f.Release()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		size := (i * 977) % 5000
-		data := pattern(i, size)
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			err := a.Send(1, uint64(i), 0, data)
-			if err == nil {
-				break
-			}
-			if err != fabric.ErrResource {
-				t.Fatalf("send: %v", err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("send stalled beyond deadline")
-			}
-			runtime.Gosched() // the receiver goroutine is the only consumer
-		}
+	go func() { done <- recvStride(b, 0, 1, n) }()
+	if err := sendAll(a, 1, n); err != nil {
+		t.Fatal(err)
 	}
-	<-done
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	return a, b
 }
 

@@ -2,6 +2,7 @@ package netfabric
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,32 +11,50 @@ import (
 )
 
 // TestBatchIOFallback: with vectored I/O disabled the provider must run the
-// portable one-syscall-per-datagram path — and deliver exactly the same
-// traffic. This is also what every non-Linux build runs unconditionally.
+// portable one-datagram-per-syscall path on every receive shard — no
+// recvmmsg on the reuseport siblings, no inline polls — and deliver exactly
+// the same traffic. This is also what every non-Linux build runs
+// unconditionally.
 func TestBatchIOFallback(t *testing.T) {
-	a, b := pair(t, Config{DisableBatchIO: true})
-	if a.BatchIO() || b.BatchIO() {
-		t.Fatal("DisableBatchIO left the vectored path active")
-	}
-	const n = 200
-	got := 0
-	check := func(f *fabric.Frame) {
-		if f.Header != uint64(got) || !bytes.Equal(f.Data, pattern(got, 300)) {
-			t.Errorf("msg %d corrupted on fallback path (header %d)", got, f.Header)
-		}
-		f.Release()
-		got++
-	}
-	for i := 0; i < n; i++ {
-		sendRetry(t, a, b, 1, uint64(i), 0, pattern(i, 300), check)
-	}
-	for got < n {
-		check(pollOne(t, b, 5*time.Second))
-	}
-	st := a.Stats()
-	if st.SendBatches != 0 || st.RecvBatches != 0 {
-		t.Fatalf("fallback path recorded vectored bursts: send=%d recv=%d",
-			st.SendBatches, st.RecvBatches)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			a, b := pair(t, Config{DisableBatchIO: true, ReaderShards: shards})
+			if a.BatchIO() || b.BatchIO() {
+				t.Fatal("DisableBatchIO left the vectored path active")
+			}
+			if offloadAvailable && b.ReaderShards() != shards {
+				t.Fatalf("ReaderShards() = %d, want %d", b.ReaderShards(), shards)
+			}
+			for _, p := range []*Provider{a, b} {
+				for _, s := range p.shards {
+					if s.bio.Load() != nil || s.poll != nil {
+						t.Fatalf("rank %d shard %d kept a vectored read driver", p.Rank(), s.idx)
+					}
+				}
+			}
+			const n = 200
+			got := 0
+			check := func(f *fabric.Frame) {
+				if f.Header != uint64(got) || !bytes.Equal(f.Data, pattern(got, 300)) {
+					t.Errorf("msg %d corrupted on fallback path (header %d)", got, f.Header)
+				}
+				f.Release()
+				got++
+			}
+			for i := 0; i < n; i++ {
+				sendRetry(t, a, b, 1, uint64(i), 0, pattern(i, 300), check)
+			}
+			for got < n {
+				check(pollOne(t, b, 5*time.Second))
+			}
+			for _, p := range []*Provider{a, b} {
+				st := p.Stats()
+				if st.SendBatches != 0 || st.RecvBatches != 0 || st.InlineRx != 0 {
+					t.Fatalf("rank %d: fallback path recorded vectored I/O: send=%d recv=%d inline=%d",
+						p.Rank(), st.SendBatches, st.RecvBatches, st.InlineRx)
+				}
+			}
+		})
 	}
 }
 

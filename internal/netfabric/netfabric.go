@@ -313,6 +313,7 @@ type Provider struct {
 	delayedAcks    atomic.Int64
 	sockErrors     atomic.Int64
 	stallWarns     atomic.Int64
+	inlineRx       atomic.Int64
 
 	// tr is the lifecycle tracer (nil = dark path); stallRTOs and
 	// creditStallTO parameterize the stall detector, which runs on the
@@ -357,16 +358,42 @@ func (p *Provider) deliver(fr *fabric.Frame) bool {
 	return p.rs.Load().pick(fr).Enqueue(fr)
 }
 
-// readerShard is one receive socket plus its vectored read driver. Shard 0
-// wraps the provider's primary socket (which also transmits); extra shards
-// are SO_REUSEPORT siblings. Only the shard's own reader goroutine touches
-// ovfl; rx is read by telemetry.
+// readerShard is one receive socket plus its two vectored read drivers: the
+// reader goroutine's blocking one (bio) and the progress path's
+// non-blocking one (poll, with its own buffers; pollMu keeps concurrent
+// pollers off them). Shard 0 wraps the provider's primary socket (which also
+// transmits); extra shards are SO_REUSEPORT siblings. rx is read by
+// telemetry.
 type readerShard struct {
 	idx  int
 	conn net.PacketConn
 	bio  atomic.Pointer[mmsgIO] // nil = portable ReadFrom path for this shard
 	rx   atomic.Int64           // wire datagrams handled by this shard
-	ovfl uint32                 // last seen SO_RXQ_OVFL cumulative drop count
+	ovfl atomic.Uint32          // last seen SO_RXQ_OVFL cumulative drop count
+
+	pollMu sync.Mutex
+	poll   *mmsgIO  // nil on the portable path: no inline receive
+	pollRx *rxBatch // poll's bound buffers
+}
+
+// rxBatch is one receive driver's buffer set: readBatchLen datagram buffers
+// plus the per-slot length and ancillary data a burst read fills in.
+type rxBatch struct {
+	bufs  [][]byte
+	sizes []int
+	cms   []rxCmsg
+}
+
+func newRxBatch(bufLen int) *rxBatch {
+	rb := &rxBatch{
+		bufs:  make([][]byte, readBatchLen),
+		sizes: make([]int, readBatchLen),
+		cms:   make([]rxCmsg, readBatchLen),
+	}
+	for i := range rb.bufs {
+		rb.bufs[i] = make([]byte, bufLen)
+	}
+	return rb
 }
 
 // New builds a provider and starts its socket reader. The reader goroutine
@@ -492,8 +519,10 @@ func New(cfg Config) (*Provider, error) {
 			sb.SetReadBuffer(cfg.SockBuf)
 		}
 		s := &readerShard{idx: len(p.shards), conn: c}
-		if m := newReadIO(c); m != nil {
-			s.bio.Store(m)
+		if !cfg.DisableBatchIO {
+			if m := newReadIO(c); m != nil {
+				s.bio.Store(m)
+			}
 		}
 		p.shards = append(p.shards, s)
 	}
@@ -521,6 +550,19 @@ func New(cfg Config) (*Provider, error) {
 	}
 	if p.gro && p.readBufLen < groBufLen {
 		p.readBufLen = groBufLen // a coalesced read can be a full UDP payload
+	}
+	// Progress-path receive drivers: a second non-blocking driver per shard
+	// with a vectored reader. The portable tier has none and leaves receiving
+	// to the reader goroutines.
+	for _, s := range p.shards {
+		if s.bio.Load() == nil {
+			continue
+		}
+		if m := newReadIO(s.conn); m != nil {
+			s.pollRx = newRxBatch(p.readBufLen)
+			m.bindRead(s.pollRx.bufs)
+			s.poll = m
+		}
 	}
 	p.wg.Add(len(p.shards))
 	for _, s := range p.shards {
@@ -912,7 +954,7 @@ func (p *Provider) writeWire(pkts [][]byte, dsts []int) {
 	if m := p.bio.Load(); m != nil {
 		if p.gsoOn.Load() && len(pkts) > 1 {
 			trains := planTrains(p.trainScratch[:0], pkts, dsts)
-			p.trainScratch = trains[:0] // keep grown capacity
+			p.trainScratch = trains[:0]  // keep grown capacity
 			if len(trains) < len(pkts) { // at least one multi-segment train
 				if err := m.writeTrains(trains); err == nil {
 					p.sendBatches.Add(1)
@@ -977,11 +1019,29 @@ func (p *Provider) Put(int, uint32, int, []byte, uint64) error {
 
 // Poll removes and returns one incoming frame, or nil. As the progress
 // loop's heartbeat it also flushes any pending transmit bursts, so queued
-// packets never wait for the housekeeping tick while a poller is live.
+// packets never wait for the housekeeping tick while a poller is live, and
+// when the ring is empty it drains the sockets itself (see pollWire).
 func (p *Provider) Poll() *fabric.Frame {
 	p.flushPending()
+	return p.pollRing(p.rs.Load().rings[0])
+}
+
+// PollBatch drains up to len(dst) incoming frames in one ring pass, flushing
+// pending transmit bursts first and draining the sockets when the ring is
+// empty (see Poll).
+func (p *Provider) PollBatch(dst []*fabric.Frame) int {
+	p.flushPending()
+	return p.pollRingBatch(p.rs.Load().rings[0], dst)
+}
+
+// pollRing is Poll's receive half over one delivery ring: dequeue, and on a
+// miss run one inline wire poll and retry.
+func (p *Provider) pollRing(ring *concurrent.MPMC[*fabric.Frame]) *fabric.Frame {
 	p.polls.Add(1)
-	f, ok := p.rs.Load().rings[0].Dequeue()
+	f, ok := ring.Dequeue()
+	if !ok && p.pollWire() > 0 {
+		f, ok = ring.Dequeue()
+	}
 	if !ok {
 		return nil
 	}
@@ -989,17 +1049,63 @@ func (p *Provider) Poll() *fabric.Frame {
 	return f
 }
 
-// PollBatch drains up to len(dst) incoming frames in one ring pass, flushing
-// pending transmit bursts first (see Poll).
-func (p *Provider) PollBatch(dst []*fabric.Frame) int {
-	p.flushPending()
+// pollRingBatch is pollRing for PollBatch.
+func (p *Provider) pollRingBatch(ring *concurrent.MPMC[*fabric.Frame], dst []*fabric.Frame) int {
 	p.polls.Add(1)
-	n := p.rs.Load().rings[0].DequeueBatch(dst)
+	n := ring.DequeueBatch(dst)
+	if n == 0 && p.pollWire() > 0 {
+		n = ring.DequeueBatch(dst)
+	}
 	if n > 0 {
 		p.pollHits.Add(int64(n))
 		p.batchPolls.Add(1)
 	}
 	return n
+}
+
+// pollWire is the progress path polling the network itself, as the paper's
+// lc_progress does (Algorithm 3): one non-blocking burst read per receive
+// shard, handled inline. Without it, delivery waits for a reader goroutine
+// to wake, and while progress loops spin on runtime.Gosched the scheduler
+// drains its run queue before it ever checks the netpoller, so readers wake
+// only on their read-deadline tick (DESIGN.md §10). When every shard it
+// polled was empty it also flushes delayed acks, so a one-way tail is acked
+// within a poll rather than a tick. Returns the wire datagrams handled.
+func (p *Provider) pollWire() int {
+	n, polled := 0, false
+	for _, s := range p.shards {
+		h, ok := p.pollShard(s)
+		n += h
+		polled = polled || ok
+	}
+	if polled && n == 0 {
+		p.flushAcks()
+	}
+	return n
+}
+
+// pollShard runs one non-blocking burst read on s and handles what arrived.
+// It skips the shard (polled=false) when s has no vectored driver — the
+// portable tier never receives inline — or another poller holds it.
+func (p *Provider) pollShard(s *readerShard) (handled int, polled bool) {
+	if s.poll == nil || s.bio.Load() == nil || !s.pollMu.TryLock() {
+		return 0, false
+	}
+	defer s.pollMu.Unlock()
+	rb := s.pollRx
+	n, err := s.poll.pollBatch(rb.sizes, rb.cms)
+	if err != nil {
+		if err != errBatchUnsupported && !p.closed.Load() {
+			p.sockErrors.Add(1)
+		}
+		return 0, true
+	}
+	if n > 1 {
+		p.recvBatches.Add(1)
+	}
+	handled = p.handleBurst(s, rb, n)
+	p.inlineRx.Add(int64(handled))
+	return handled, true
 }
 
 // Pending returns a racy estimate of queued incoming frames, summed across
@@ -1056,7 +1162,9 @@ func (p *Provider) ShardViews(k int, route fabric.ShardRoute) []fabric.Provider 
 // shardView is one progress shard's window onto the provider: it polls only
 // its own delivery ring, flushes only its own flows' pending transmits, and
 // delegates everything else (sends, regions, stats, teardown) to the base
-// provider.
+// provider. Its inline wire poll covers every receive shard — whatever it
+// reads is routed to the owning view's ring — and the shards' poll locks
+// keep concurrent views off each other's buffers.
 type shardView struct {
 	*Provider
 	ring  *concurrent.MPMC[*fabric.Frame]
@@ -1065,24 +1173,12 @@ type shardView struct {
 
 func (v *shardView) Poll() *fabric.Frame {
 	v.flushFlows(v.flows)
-	v.polls.Add(1)
-	f, ok := v.ring.Dequeue()
-	if !ok {
-		return nil
-	}
-	v.pollHits.Add(1)
-	return f
+	return v.pollRing(v.ring)
 }
 
 func (v *shardView) PollBatch(dst []*fabric.Frame) int {
 	v.flushFlows(v.flows)
-	v.polls.Add(1)
-	n := v.ring.DequeueBatch(dst)
-	if n > 0 {
-		v.pollHits.Add(int64(n))
-		v.batchPolls.Add(1)
-	}
-	return n
+	return v.pollRingBatch(v.ring, dst)
 }
 
 func (v *shardView) Pending() int { return v.ring.Len() }
@@ -1090,20 +1186,17 @@ func (v *shardView) Pending() int { return v.ring.Len() }
 var _ fabric.Provider = (*shardView)(nil)
 
 // reader drains one receive shard in vectored bursts and runs the
-// reliability protocol on what arrives. Shard 0 (the primary socket) also
-// owns the timers: on its read-deadline tick it flushes pending transmits,
-// retransmits timed-out packets, sends delayed acks and re-advertises
-// credits. Extra shards only read — their deadline is just a liveness bound.
+// reliability protocol on what arrives. It is the backstop behind the
+// progress path's inline polls: it delivers while nobody polls, keeps the
+// sockets drained through Close, and owns the timers — shard 0 (the primary
+// socket), on its read-deadline tick, flushes pending transmits, retransmits
+// timed-out packets, sends delayed acks and re-advertises credits. Extra
+// shards only read; their deadline is just a liveness bound.
 func (p *Provider) reader(s *readerShard) {
 	defer p.wg.Done()
-	bufs := make([][]byte, readBatchLen)
-	for i := range bufs {
-		bufs[i] = make([]byte, p.readBufLen)
-	}
-	sizes := make([]int, readBatchLen)
-	cms := make([]rxCmsg, readBatchLen)
+	rb := newRxBatch(p.readBufLen)
 	if m := s.bio.Load(); m != nil {
-		m.bindRead(bufs)
+		m.bindRead(rb.bufs)
 	}
 	housekeeper := s.idx == 0
 	tick := p.tick
@@ -1113,7 +1206,7 @@ func (p *Provider) reader(s *readerShard) {
 	lastKeep := time.Now()
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(tick))
-		n, err := p.readShard(s, bufs, sizes, cms)
+		n, err := p.readShard(s, rb)
 		if err != nil {
 			// Timeouts are the housekeeping tick and must keep firing while
 			// Close drains unacked packets (closed is already set then), so
@@ -1137,25 +1230,7 @@ func (p *Provider) reader(s *readerShard) {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
-		for i := 0; i < n; i++ {
-			b := bufs[i][:sizes[i]]
-			if cms[i].hasOvfl {
-				p.noteOvfl(s, cms[i].ovfl)
-			}
-			if seg := cms[i].seg; seg > 0 && seg < len(b) {
-				// A GRO super-datagram: consecutive wire datagrams of seg
-				// bytes each (last possibly shorter), re-split here.
-				p.groCoalesced.Add(1)
-				for off := 0; off < len(b); off += seg {
-					end := min(off+seg, len(b))
-					p.handleDatagram(b[off:end])
-					s.rx.Add(1)
-				}
-			} else {
-				p.handleDatagram(b)
-				s.rx.Add(1)
-			}
-		}
+		p.handleBurst(s, rb, n)
 		if housekeeper && time.Since(lastKeep) >= tick {
 			p.housekeep()
 			lastKeep = time.Now()
@@ -1163,14 +1238,43 @@ func (p *Provider) reader(s *readerShard) {
 	}
 }
 
+// handleBurst runs the reliability protocol on the first n datagrams of a
+// burst read from shard s — by its reader goroutine or inline by a poller —
+// re-splitting GRO super-datagrams, and returns the wire datagrams handled.
+func (p *Provider) handleBurst(s *readerShard, rb *rxBatch, n int) int {
+	handled := 0
+	for i := 0; i < n; i++ {
+		b := rb.bufs[i][:rb.sizes[i]]
+		cm := rb.cms[i]
+		if cm.hasOvfl {
+			p.noteOvfl(s, cm.ovfl)
+		}
+		if seg := cm.seg; seg > 0 && seg < len(b) {
+			// A GRO super-datagram: consecutive wire datagrams of seg bytes
+			// each (last possibly shorter), re-split here.
+			p.groCoalesced.Add(1)
+			for off := 0; off < len(b); off += seg {
+				p.handleDatagram(b[off:min(off+seg, len(b))])
+				handled++
+			}
+		} else {
+			p.handleDatagram(b)
+			handled++
+		}
+	}
+	s.rx.Add(int64(handled))
+	return handled
+}
+
 // readShard pulls a burst of datagrams off one shard socket (recvmmsg when
 // available, one ReadFrom otherwise), honoring the read deadline either way.
 // A kernel refusal downgrades only this shard — turning its GRO off first,
 // since the portable read path cannot see the gso_size cmsg needed to
-// re-split coalesced buffers.
-func (p *Provider) readShard(s *readerShard, bufs [][]byte, sizes []int, cms []rxCmsg) (int, error) {
+// re-split coalesced buffers. Clearing bio also retires the shard's inline
+// poll driver.
+func (p *Provider) readShard(s *readerShard, rb *rxBatch) (int, error) {
 	if m := s.bio.Load(); m != nil {
-		n, err := m.readBatch(sizes, cms)
+		n, err := m.readBatch(rb.sizes, rb.cms)
 		if err != errBatchUnsupported {
 			if n > 1 {
 				p.recvBatches.Add(1)
@@ -1180,22 +1284,30 @@ func (p *Provider) readShard(s *readerShard, bufs [][]byte, sizes []int, cms []r
 		disableGRO(s.conn)
 		s.bio.Store(nil)
 	}
-	n, _, err := s.conn.ReadFrom(bufs[0])
+	n, _, err := s.conn.ReadFrom(rb.bufs[0])
 	if err != nil {
 		return 0, err
 	}
-	sizes[0] = n
-	cms[0] = rxCmsg{}
+	rb.sizes[0] = n
+	rb.cms[0] = rxCmsg{}
 	return 1, nil
 }
 
 // noteOvfl folds one SO_RXQ_OVFL cumulative drop count into sockDrops. The
-// kernel counter is per-socket and monotonic mod 2^32; the unsigned delta
-// handles wrap. Only s's reader goroutine touches s.ovfl.
+// kernel counter is per-socket and monotonic mod 2^32; the serial delta
+// handles wrap, and rejects a stale count from the shard's other driver
+// (reader and poller read the same socket concurrently).
 func (p *Provider) noteOvfl(s *readerShard, cum uint32) {
-	if d := cum - s.ovfl; d > 0 {
-		s.ovfl = cum
-		p.sockDrops.Add(int64(d))
+	for {
+		old := s.ovfl.Load()
+		d := cum - old
+		if int32(d) <= 0 {
+			return
+		}
+		if s.ovfl.CompareAndSwap(old, cum) {
+			p.sockDrops.Add(int64(d))
+			return
+		}
 	}
 }
 
@@ -1259,18 +1371,22 @@ func (p *Provider) onData(fl *flow, d *dataPkt) {
 		p.markAckDue(fl)
 		return
 	}
+	// recvNext advances before apply can put the message on the ring: a
+	// consumer on another goroutine may dequeue, release and ack (or Close
+	// and drain) at once, and that ack must already cover the packet.
+	fl.recvNext.Add(1)
 	p.apply(fl, d)
 	applied := int32(1)
-	fl.recvNext.Add(1)
 	for {
-		nd, ok := fl.ooo[fl.recvNext.Load()]
+		next := fl.recvNext.Load()
+		nd, ok := fl.ooo[next]
 		if !ok {
 			break
 		}
-		delete(fl.ooo, fl.recvNext.Load())
+		delete(fl.ooo, next)
+		fl.recvNext.Add(1)
 		p.apply(fl, nd)
 		applied++
-		fl.recvNext.Add(1)
 	}
 	// One-way traffic cannot piggyback, so bound the sender's ack latency:
 	// a standalone ack after every ackEvery packets, the delayed tick for
@@ -1459,12 +1575,14 @@ func (p *Provider) sendAckNow(fl *flow, delayed bool) {
 	if fl.ackDue.Swap(false) {
 		p.ackDueFlows.Add(-1)
 	}
-	p.xmitBatch(fl.peer, [][]byte{buf[:n]})
+	// Count before transmitting: once the ack is on the wire the peer may
+	// retire its window, and whoever observes that must also see the count.
 	p.acksSent.Add(1)
-	p.tr.Record(tracing.EvAckTx, fl.peer, tracing.ProtoNone, 0, 0)
 	if delayed {
 		p.delayedAcks.Add(1)
 	}
+	p.tr.Record(tracing.EvAckTx, fl.peer, tracing.ProtoNone, 0, 0)
+	p.xmitBatch(fl.peer, [][]byte{buf[:n]})
 }
 
 // Stall kinds carried in EvStallWarn's arg field.
@@ -1473,14 +1591,14 @@ const (
 	stallCredit = 2 // zero send credit beyond CreditStallTimeout
 )
 
-// warnStall emits one structured stall warning for fl: it bumps the
-// stalls_total counter unconditionally and, under tracing, records an
-// EvStallWarn event and dumps the flight recorder so the events leading up
-// to the stall are preserved.
+// warnStall emits one structured stall warning for fl: under tracing it
+// records an EvStallWarn event and dumps the flight recorder so the events
+// leading up to the stall are preserved, then bumps the stalls_total counter
+// unconditionally — last, so whoever sees the count can read the dump.
 func (p *Provider) warnStall(fl *flow, kind uint32, detail string) {
-	p.stallWarns.Add(1)
 	p.tr.RecordArg(tracing.EvStallWarn, fl.peer, tracing.ProtoNone, 0, kind, 0)
 	p.tr.DumpNow(fmt.Sprintf("rank %d stall: %s (peer %d)", p.rank, detail, fl.peer))
+	p.stallWarns.Add(1)
 }
 
 // flushAcks sends one standalone ack/credit datagram to every peer still
@@ -1532,6 +1650,7 @@ func (p *Provider) Stats() fabric.Stats {
 		PiggybackAcks:  p.piggyAcks.Load(),
 		DelayedAcks:    p.delayedAcks.Load(),
 		SockErrors:     p.sockErrors.Load(),
+		InlineRx:       p.inlineRx.Load(),
 		RTTNanos:       rtt.Nanoseconds(),
 	}
 }

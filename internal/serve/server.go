@@ -25,12 +25,12 @@
 package serve
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	"lcigraph/internal/cluster"
 	"lcigraph/internal/comm"
+	lci "lcigraph/internal/core"
 	"lcigraph/internal/partition"
 	"lcigraph/internal/telemetry"
 	"lcigraph/internal/tracing"
@@ -185,21 +185,6 @@ func (s *Server) Run() {
 	}
 }
 
-// backoff mirrors the comm layers' idle strategy: yield on short idle
-// streaks, park briefly on long ones.
-func backoff(idle int, worked bool) int {
-	if worked {
-		return 0
-	}
-	idle++
-	if idle < 64 {
-		runtime.Gosched()
-	} else {
-		time.Sleep(20 * time.Microsecond)
-	}
-	return idle
-}
-
 // runCoordinator is rank 0's loop: admit client queries, scatter adjacency
 // sub-queries, absorb replies, advance machines, respond.
 func (s *Server) runCoordinator() {
@@ -253,7 +238,7 @@ func (s *Server) runCoordinator() {
 			}
 			return
 		}
-		idle = backoff(idle, worked)
+		idle = lci.IdleBackoff(idle, worked)
 	}
 }
 
@@ -278,7 +263,7 @@ func (s *Server) runWorker() {
 			m.Release()
 			return
 		}
-		idle = backoff(idle, worked)
+		idle = lci.IdleBackoff(idle, worked)
 	}
 }
 
