@@ -85,10 +85,9 @@ type NetfabricReport struct {
 
 	// Ablations re-run the clean-UDP exchange with one hot-path
 	// optimization disabled each, quantifying its contribution: no-batch
-	// (one syscall per datagram), no-piggyback (every ack is a standalone
-	// datagram), fixed-rto (no RTT adaptation) at 64B; no-gso (fragment
-	// trains sent datagram-at-a-time) and shards-1 (single reader socket)
-	// at 64KiB where the offload tier carries the traffic.
+	// (one syscall per datagram) and fixed-rto (no RTT adaptation) at 64B;
+	// no-gso (fragment trains sent datagram-at-a-time) and shards-1 (single
+	// reader socket) at 64KiB where the offload tier carries the traffic.
 	Ablations []NetfabricVariant `json:"ablations"`
 
 	// Endpoint-shards arm: the multi-threaded-progress ablation (DESIGN.md
@@ -299,7 +298,6 @@ func Netfabric(hosts, perPeer, size, epochs int) (NetfabricReport, error) {
 		cfg           netfabric.Config
 	}{
 		{"no-batch", size, perPeer, netfabric.Config{DisableBatchIO: true}},
-		{"no-piggyback", size, perPeer, netfabric.Config{DisablePiggyback: true}},
 		{"fixed-rto", size, perPeer, netfabric.Config{FixedRTO: true}},
 		{"no-gso", large, largePer, netfabric.Config{DisableGSO: true}},
 		{"shards-1", large, largePer, netfabric.Config{ReaderShards: 1}},

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lcigraph/internal/memtrack"
 	"lcigraph/internal/telemetry"
 )
 
@@ -32,7 +33,8 @@ func appendRecord(buf []byte, tag uint32, data []byte) []byte {
 	return buf
 }
 
-// forEachRecord walks the records of a bundle in order.
+// forEachRecord walks the records of a bundle in order. buf's framing must
+// have passed countRecords.
 func forEachRecord(buf []byte, fn func(tag uint32, data []byte)) {
 	off := 0
 	for off < len(buf) {
@@ -43,12 +45,20 @@ func forEachRecord(buf []byte, fn func(tag uint32, data []byte)) {
 	}
 }
 
-// countRecords returns the number of records in a bundle.
+// countRecords validates a bundle's framing and returns its number of
+// records, or -1 when a record header is truncated or a record runs past the
+// end. Bundles arrive off the network, so their framing is never trusted.
 func countRecords(buf []byte) int {
 	n, off := 0, 0
 	for off < len(buf) {
-		sz := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		off += recHdr + sz
+		if len(buf)-off < recHdr {
+			return -1
+		}
+		sz := binary.LittleEndian.Uint32(buf[off+4:])
+		if uint64(sz) > uint64(len(buf)-off-recHdr) {
+			return -1
+		}
+		off += recHdr + int(sz)
 		n++
 	}
 	return n
@@ -71,18 +81,20 @@ func (b *bundleRef) dec() {
 // unpackBundle splits bundle message b into per-record messages sharing b's
 // buffer, handing each to put; b is released when the last record is. The
 // record tags — not b.Tag — carry the logical epoch, so bundles may mix
-// epochs freely.
-func unpackBundle(b Message, put func(Message)) {
+// epochs freely. A malformed bundle is dropped whole: no record reaches put,
+// b is released, and unpackBundle returns false.
+func unpackBundle(b Message, put func(Message)) bool {
 	n := countRecords(b.Data)
-	if n == 0 {
+	if n <= 0 {
 		b.Release()
-		return
+		return n == 0
 	}
 	ref := &bundleRef{release: b.release}
 	ref.remaining.Store(int32(n))
 	forEachRecord(b.Data, func(tag uint32, data []byte) {
 		put(Message{Peer: b.Peer, Tag: tag, Data: data, ref: ref})
 	})
+	return true
 }
 
 // CoalesceStats is a snapshot of the coalescer counters.
@@ -111,20 +123,19 @@ type emitFn func(worker, dst int, tag uint32, data []byte, done func(), block, d
 type coalescer struct {
 	limit int // bundle payload cap: the fabric eager limit
 	emit  emitFn
-	// freeData mirrors emitFn's nil-done convention for messages the
-	// coalescer absorbs by copy: it frees n tracked bytes.
-	freeData func(n int)
-	off      atomic.Bool // pass-through mode (ablation knob)
+	// tracker is charged for the senders' buffers; a message absorbed by
+	// copy frees its tracked bytes (emitFn's nil-done convention).
+	tracker *memtrack.Tracker
+	off     atomic.Bool // pass-through mode (ablation knob)
 
 	dests []coalDest
 
 	// Staging-buffer freelist. A bundle is eager by construction, so its
 	// buffer is reusable as soon as the fabric accepts it (the payload is
-	// copied on injection).
-	bufMu    sync.Mutex
-	bufs     [][]byte
-	allocBuf func(n int) []byte
-	freeBuf  func(b []byte)
+	// copied on injection). Staging buffers are pool-like internals,
+	// untracked just like the LCI packet pool.
+	bufMu sync.Mutex
+	bufs  [][]byte
 
 	msgsCoalesced   atomic.Int64
 	coalescedFrames atomic.Int64
@@ -146,15 +157,12 @@ type coalDest struct {
 	nrec   int
 }
 
-func newCoalescer(hosts, limit int, emit emitFn, freeData func(int),
-	allocBuf func(int) []byte, freeBuf func([]byte)) *coalescer {
+func newCoalescer(hosts, limit int, emit emitFn, tracker *memtrack.Tracker) *coalescer {
 	return &coalescer{
-		limit:    limit,
-		emit:     emit,
-		freeData: freeData,
-		dests:    make([]coalDest, hosts),
-		allocBuf: allocBuf,
-		freeBuf:  freeBuf,
+		limit:   limit,
+		emit:    emit,
+		tracker: tracker,
+		dests:   make([]coalDest, hosts),
 	}
 }
 
@@ -220,7 +228,7 @@ func (c *coalescer) fireDone(done func(), n int) {
 		done()
 		return
 	}
-	c.freeData(n)
+	c.tracker.Free(n)
 }
 
 // flushLocked ships whatever is parked for d (bundle or single). It returns
@@ -274,16 +282,15 @@ func (c *coalescer) getBuf() []byte {
 		return b[:0]
 	}
 	c.bufMu.Unlock()
-	return c.allocBuf(c.limit)[:0]
+	return make([]byte, 0, c.limit)
 }
 
+// putBuf returns a staging buffer to the freelist; past its cap the buffer
+// is left to the garbage collector.
 func (c *coalescer) putBuf(b []byte) {
 	c.bufMu.Lock()
 	if len(c.bufs) < 2*len(c.dests)+2 {
 		c.bufs = append(c.bufs, b)
-		c.bufMu.Unlock()
-		return
 	}
 	c.bufMu.Unlock()
-	c.freeBuf(b)
 }

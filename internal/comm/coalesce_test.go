@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 
 	lci "lcigraph/internal/core"
 	"lcigraph/internal/fabric"
+	"lcigraph/internal/telemetry"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -57,6 +59,120 @@ func TestUnpackBundleReleasesOnce(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("bundle released %d times", released)
 	}
+}
+
+// malformedBundles are record framings a remote peer can put on the wire.
+func malformedBundles() []struct {
+	name string
+	buf  []byte
+} {
+	valid := appendRecord(make([]byte, 0, 16), 7, []byte("ok"))
+	return []struct {
+		name string
+		buf  []byte
+	}{
+		{"truncated header", []byte{1, 0, 0, 0, 5}},
+		{"length past end", []byte{1, 0, 0, 0, 200, 0, 0, 0, 9}},
+		{"valid record then 3-byte tail", append(valid, 0, 0, 0)},
+	}
+}
+
+// TestUnpackMalformedBundle: a bundle whose record framing is broken is
+// dropped whole — no record delivered, the bundle released exactly once.
+func TestUnpackMalformedBundle(t *testing.T) {
+	for _, tc := range malformedBundles() {
+		t.Run(tc.name, func(t *testing.T) {
+			released, delivered := 0, 0
+			unpackBundle(Message{
+				Peer:    1,
+				Tag:     coalFlag,
+				Data:    tc.buf,
+				release: func() { released++ },
+			}, func(Message) { delivered++ })
+			if delivered != 0 || released != 1 {
+				t.Fatalf("delivered %d records, released %d times; want 0 and 1", delivered, released)
+			}
+		})
+	}
+}
+
+// TestBadBundleCounted sends malformed bundles to an LCI layer: each is
+// counted once in lci_comm_bad_bundles_total, nothing is delivered, and the
+// receiver's tracker and the fabric's frames are conserved.
+func TestBadBundleCounted(t *testing.T) {
+	const tag = 250
+	fab := fabric.New(2, fabric.TestProfile())
+	reg := telemetry.NewEnabled(1)
+	snd := NewLCILayer(fab.Endpoint(0), lci.Options{})
+	rcv := NewLCILayer(fab.Endpoint(1), lci.Options{Telemetry: reg})
+	bad := malformedBundles()
+	for _, tc := range bad {
+		buf := snd.AllocBuf(len(tc.buf))
+		copy(buf, tc.buf)
+		snd.emit(snd.workers[0], 1, coalFlag, buf, nil, true, true)
+	}
+	// A well-formed message behind them proves the bad ones were consumed.
+	buf := snd.AllocBuf(8)
+	snd.PostTag(1, tag, buf)
+	m := recvTagWait(t, rcv, tag)
+	m.Release()
+	if m, ok := rcv.RecvTag(tag); ok {
+		t.Fatalf("unexpected message from %d", m.Peer)
+	}
+	if n := reg.Counter(metricBadBundles).Value(); n != int64(len(bad)) {
+		t.Fatalf("%s = %d, want %d", metricBadBundles, n, len(bad))
+	}
+	snd.Stop()
+	rcv.Stop()
+	if n := rcv.Tracker().Current(); n != 0 {
+		t.Fatalf("receiver holds %d tracked bytes", n)
+	}
+	if n := fab.FramesOutstanding(); n != 0 {
+		t.Fatalf("%d frames still outstanding", n)
+	}
+}
+
+// FuzzRecords: any byte string either frames as records — unpacked one
+// delivery per record, re-encoding to the same bytes — or is dropped whole;
+// either way the bundle is released exactly once and nothing panics.
+func FuzzRecords(f *testing.F) {
+	buf := make([]byte, 0, 256)
+	buf = appendRecord(buf, 1, []byte("alpha"))
+	buf = appendRecord(buf, coalFlag-1, nil)
+	buf = appendRecord(buf, 42, []byte("omega-payload"))
+	f.Add(buf)
+	for _, tc := range malformedBundles() {
+		f.Add(tc.buf)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		n := countRecords(buf)
+		released := 0
+		var recs []Message
+		unpackBundle(Message{Data: buf, release: func() { released++ }},
+			func(m Message) { recs = append(recs, m) })
+		if n < 0 {
+			if len(recs) != 0 || released != 1 {
+				t.Fatalf("malformed: delivered %d records, released %d times", len(recs), released)
+			}
+			return
+		}
+		if len(recs) != n {
+			t.Fatalf("delivered %d records, countRecords says %d", len(recs), n)
+		}
+		again := make([]byte, 0, len(buf))
+		for _, m := range recs {
+			again = appendRecord(again, m.Tag, m.Data)
+		}
+		if !bytes.Equal(again, buf) {
+			t.Fatalf("records re-encode to %x, want %x", again, buf)
+		}
+		for i := range recs {
+			recs[i].Release()
+		}
+		if released != 1 {
+			t.Fatalf("bundle released %d times", released)
+		}
+	})
 }
 
 // TestFusedCoalescing drives many small per-peer messages through one fused

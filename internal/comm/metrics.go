@@ -14,6 +14,10 @@ const (
 	MetricSendRetrySpins = "lci_comm_send_retry_spins"
 	MetricMsgsCoalesced  = "lci_comm_msgs_coalesced_total"
 	MetricBundles        = "lci_comm_bundles_total"
+
+	// metricBadBundles counts received bundles dropped whole for malformed
+	// record framing.
+	metricBadBundles = "lci_comm_bad_bundles_total"
 )
 
 // MsgBytesMetric returns the per-layer logical message-size histogram name.
@@ -39,6 +43,7 @@ type layerMetrics struct {
 	reg        *telemetry.Registry
 	msgBytes   *telemetry.Histogram
 	retrySpins *telemetry.Histogram
+	badBundles *telemetry.Counter
 	tr         *tracing.Tracer
 }
 
@@ -52,6 +57,7 @@ func newLayerMetrics(reg *telemetry.Registry, layer string) layerMetrics {
 	}
 	m.msgBytes = reg.Histogram(MsgBytesMetric(layer))
 	m.retrySpins = reg.Histogram(MetricSendRetrySpins)
+	m.badBundles = reg.Counter(metricBadBundles)
 	return m
 }
 

@@ -323,11 +323,13 @@ func (l *ProbeLayer) allocBundle(n int) []byte {
 // bundle buffer, freeing it when the last message is released.
 func (l *ProbeLayer) unbundle(src int, buf []byte) {
 	l.met.recordRecv(src, len(buf), 0)
-	unpackBundle(Message{
+	if !unpackBundle(Message{
 		Peer:    src,
 		Data:    buf,
 		release: func() { l.tracker.Free(len(buf)) },
-	}, l.recvq.Push)
+	}, l.recvq.Push) {
+		l.met.badBundles.Inc()
+	}
 }
 
 func allEmpty(aggs []aggBuf) bool {

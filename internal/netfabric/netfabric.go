@@ -98,12 +98,11 @@ type Config struct {
 	// Also settable via LCI_ENDPOINT_SHARDS for launcher-spawned workers.
 	EndpointShards int
 
-	// Ablation knobs (also settable via LCI_NO_BATCH_IO, LCI_NO_PIGGYBACK,
-	// LCI_FIXED_RTO, LCI_NO_GSO for launcher-spawned workers).
-	DisableBatchIO   bool // one syscall per datagram, flush every Send (pre-batching path)
-	DisablePiggyback bool // never stamp acks onto data packets
-	FixedRTO         bool // keep RTO at the configured seed; no RTT adaptation
-	DisableGSO       bool // no UDP_SEGMENT trains / UDP_GRO coalescing (plain batch I/O)
+	// Ablation knobs (also settable via LCI_NO_BATCH_IO, LCI_FIXED_RTO,
+	// LCI_NO_GSO for launcher-spawned workers).
+	DisableBatchIO bool // one syscall per datagram, flush every Send (pre-batching path)
+	FixedRTO       bool // keep RTO at the configured seed; no RTT adaptation
+	DisableGSO     bool // no UDP_SEGMENT trains / UDP_GRO coalescing (plain batch I/O)
 
 	// Tracer receives transport lifecycle events (retransmits, ack window
 	// advances, credit stalls, stall warnings) and the flight-recorder dump
@@ -219,21 +218,20 @@ const readBatchLen = 16
 
 // Provider is one rank's UDP endpoint. It implements fabric.Provider.
 type Provider struct {
-	rank, size  int
-	eagerLimit  int
-	chunk       int // payload bytes per DATA datagram
-	window      uint32
-	credits     int
-	seedRTO     time.Duration
-	minRTO      time.Duration
-	maxRTO      time.Duration
-	drainTO     time.Duration
-	tick        time.Duration // housekeeping / delayed-ack cadence
-	txBatch     int
-	ackEvery    int
-	readBufLen  int
-	noPiggyback bool
-	fixedRTO    bool
+	rank, size int
+	eagerLimit int
+	chunk      int // payload bytes per DATA datagram
+	window     uint32
+	credits    int
+	seedRTO    time.Duration
+	minRTO     time.Duration
+	maxRTO     time.Duration
+	drainTO    time.Duration
+	tick       time.Duration // housekeeping / delayed-ack cadence
+	txBatch    int
+	ackEvery   int
+	readBufLen int
+	fixedRTO   bool
 
 	conn  net.PacketConn
 	peers []net.Addr
@@ -418,7 +416,6 @@ func New(cfg Config) (*Provider, error) {
 		drainTO:       cfg.DrainTimeout,
 		txBatch:       cfg.TxBatch,
 		ackEvery:      cfg.AckEvery,
-		noPiggyback:   cfg.DisablePiggyback,
 		fixedRTO:      cfg.FixedRTO,
 		conn:          cfg.Conn,
 		maxRegs:       cfg.MaxRegions,
@@ -842,9 +839,6 @@ func (p *Provider) sendSelf(header, meta uint64, data []byte) error {
 // or retransmit), and retires any scheduled standalone ack for the flow —
 // this packet carries the same information for free.
 func (p *Provider) stampOutgoing(fl *flow, pkt []byte) {
-	if p.noPiggyback {
-		return
-	}
 	stampAck(pkt, fl.recvNext.Load(), fl.consumed.Load()+uint64(p.credits))
 	fl.recvSinceAck.Store(0)
 	if fl.ackDue.Swap(false) {
@@ -1671,7 +1665,6 @@ const (
 	// Hot-path ablation knobs, read by FromEnv so the launcher's
 	// environment reaches every worker (CI runs the smoke job both ways).
 	EnvNoBatchIO    = "LCI_NO_BATCH_IO"
-	EnvNoPiggyback  = "LCI_NO_PIGGYBACK"
 	EnvFixedRTO     = "LCI_FIXED_RTO"
 	EnvNoGSO        = "LCI_NO_GSO"
 	EnvReaderShards = "LCI_READER_SHARDS"
@@ -1705,7 +1698,6 @@ func FromEnv() (*Provider, error) {
 	cfg.Fault.Dup = envFloat(EnvDup)
 	cfg.Fault.Reorder = envFloat(EnvReord)
 	cfg.DisableBatchIO = envBool(EnvNoBatchIO)
-	cfg.DisablePiggyback = envBool(EnvNoPiggyback)
 	cfg.FixedRTO = envBool(EnvFixedRTO)
 	cfg.DisableGSO = envBool(EnvNoGSO)
 	if s := os.Getenv(EnvReaderShards); s != "" {
