@@ -20,11 +20,16 @@ func minU64(a, b uint64) uint64 {
 }
 
 // runCluster builds a vertex-cut partition of g over p hosts with LCI
-// layers and runs body per host.
+// layers and runs body per host on two compute threads.
 func runCluster(g *graph.Graph, p int, body func(rt *Runtime)) {
+	runClusterThreads(g, p, 2, body)
+}
+
+// runClusterThreads is runCluster with threads compute threads per host.
+func runClusterThreads(g *graph.Graph, p, threads int, body func(rt *Runtime)) {
 	pt := partition.Build(g, p, partition.VertexCut)
 	fab := fabric.New(p, fabric.TestProfile())
-	cluster.Run(p, 2, func(r int) comm.Layer {
+	cluster.Run(p, threads, func(r int) comm.Layer {
 		return comm.NewLCILayer(fab.Endpoint(r), lci.Options{})
 	}, func(h *cluster.Host) {
 		body(New(h, pt.Hosts[h.Rank], partition.VertexCut))
@@ -55,6 +60,56 @@ func TestFieldApplySemantics(t *testing.T) {
 			t.Errorf("reset left updated bits")
 		}
 	})
+}
+
+// TestFieldWritePaths: a field is single-writer exactly when its rank has
+// one compute thread. On either path, every compute thread hammering the
+// same proxies with an add-reduction loses no update, reduce sums the
+// mirrors into their masters, and broadcast overwrites every mirror.
+func TestFieldWritePaths(t *testing.T) {
+	g := graph.Complete(12)
+	const p, reps = 3, 1024
+	add := func(a, b uint64) uint64 { return a + b }
+	for _, threads := range []int{1, 2, 4} {
+		runClusterThreads(g, p, threads, func(rt *Runtime) {
+			hg := rt.HG
+			f := rt.NewField(0, add)
+			if f.single != (threads == 1) {
+				t.Errorf("threads=%d: single-writer = %v", threads, f.single)
+			}
+			rt.Host.Pool.For(reps*hg.NumLocal, func(i int) {
+				f.Apply(uint32(i%hg.NumLocal), 1)
+			})
+			for lv := 0; lv < hg.NumLocal; lv++ {
+				if v := f.Get(uint32(lv)); v != reps {
+					t.Errorf("threads=%d host %d: proxy %d = %d after %d applies", threads, rt.Host.Rank, lv, v, reps)
+				}
+			}
+			f.SyncReduce()
+			var masterSum int64
+			for lv := 0; lv < hg.NumLocal; lv++ {
+				if hg.IsMaster(uint32(lv)) {
+					masterSum += int64(f.Get(uint32(lv)))
+				} else if v := f.Get(uint32(lv)); v != 0 {
+					t.Errorf("threads=%d host %d: mirror %d not reset (%d)", threads, rt.Host.Rank, lv, v)
+				}
+			}
+			proxies := rt.Host.AllreduceSum(int64(hg.NumLocal))
+			if got := rt.Host.AllreduceSum(masterSum); got != reps*proxies {
+				t.Errorf("threads=%d: masters hold %d, want %d", threads, got, reps*proxies)
+			}
+
+			for lv := 0; lv < hg.NumMasters; lv++ {
+				f.Set(uint32(lv), uint64(hg.L2G[lv])+1000)
+			}
+			f.SyncBroadcast()
+			for lv := 0; lv < hg.NumLocal; lv++ {
+				if v, want := f.Get(uint32(lv)), uint64(hg.L2G[lv])+1000; v != want {
+					t.Errorf("threads=%d host %d: proxy of %d = %d, want %d", threads, rt.Host.Rank, hg.L2G[lv], v, want)
+				}
+			}
+		})
+	}
 }
 
 // TestSyncReducePropagatesMinToMaster: mirrors write, reduce carries the

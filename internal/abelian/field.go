@@ -16,12 +16,24 @@ import (
 // into the word), an updated-bitset, a reduction operator, and the
 // synchronization machinery of §III-A.
 //
-// Writes go through Apply (a CAS loop with the reduction operator) from any
-// compute thread; Sync ships only updated entries, using a bitmap over the
-// statically-known per-peer sync lists so no per-element indices travel.
+// Writes go through Apply, which merges a value with the reduction operator.
+// Which of two write paths a field takes is fixed in NewField by the rank's
+// compute-thread count:
+//
+//   - one thread (single-writer): every access runs sequentially, on the
+//     pool's one worker or on the rank's goroutine between Pool.For calls,
+//     whose fork-join orders the two. Apply, Set, Get and the sync
+//     gather/scatter use plain loads and stores.
+//   - two or more threads: Apply is a CAS loop, the gather reset and the
+//     broadcast overwrite are atomic swaps, and Get is an atomic load, so
+//     any compute thread may write any proxy concurrently.
+//
+// Sync ships only updated entries, using a bitmap over the statically-known
+// per-peer sync lists so no per-element indices travel.
 type Field struct {
 	rt       *Runtime
-	Vals     []atomic.Uint64
+	vals     []uint64
+	single   bool // one compute thread: plain loads and stores (see above)
 	updated  *bitset.Bitset
 	identity uint64
 	reduce   func(a, b uint64) uint64
@@ -45,7 +57,8 @@ func (rt *Runtime) NewField(identity uint64, reduce func(a, b uint64) uint64) *F
 	hg := rt.HG
 	f := &Field{
 		rt:        rt,
-		Vals:      make([]atomic.Uint64, hg.NumLocal),
+		vals:      make([]uint64, hg.NumLocal),
+		single:    rt.Host.Pool.Workers() == 1,
 		updated:   bitset.New(hg.NumLocal),
 		identity:  identity,
 		reduce:    reduce,
@@ -63,8 +76,8 @@ func (rt *Runtime) NewField(identity uint64, reduce func(a, b uint64) uint64) *F
 	}
 	rt.nextTag += 2
 	if identity != 0 {
-		for i := range f.Vals {
-			f.Vals[i].Store(identity)
+		for i := range f.vals {
+			f.vals[i] = identity
 		}
 	}
 	P := hg.P
@@ -114,28 +127,59 @@ type fusedLayer interface {
 }
 
 // Get reads the current value of local proxy lv.
-func (f *Field) Get(lv uint32) uint64 { return f.Vals[lv].Load() }
+func (f *Field) Get(lv uint32) uint64 {
+	if f.single {
+		return f.vals[lv]
+	}
+	return atomic.LoadUint64(&f.vals[lv])
+}
 
 // Set stores v unconditionally and marks lv updated.
 func (f *Field) Set(lv uint32, v uint64) {
-	f.Vals[lv].Store(v)
+	f.SetLocal(lv, v)
 	f.updated.Set(int(lv))
 }
 
 // SetLocal stores v without marking updated (initialization).
-func (f *Field) SetLocal(lv uint32, v uint64) { f.Vals[lv].Store(v) }
+func (f *Field) SetLocal(lv uint32, v uint64) {
+	if f.single {
+		f.vals[lv] = v
+		return
+	}
+	atomic.StoreUint64(&f.vals[lv], v)
+}
+
+// swap stores v and returns the value it replaced.
+func (f *Field) swap(lv uint32, v uint64) uint64 {
+	if f.single {
+		old := f.vals[lv]
+		f.vals[lv] = v
+		return old
+	}
+	return atomic.SwapUint64(&f.vals[lv], v)
+}
 
 // Apply combines v into proxy lv with the field's reduction operator,
-// atomically. It returns true — and marks the proxy updated — when the
-// stored value changed.
+// atomically when the rank has more than one compute thread. It returns
+// true — and marks the proxy updated — when the stored value changed.
 func (f *Field) Apply(lv uint32, v uint64) bool {
-	for {
-		old := f.Vals[lv].Load()
+	if f.single {
+		old := f.vals[lv]
 		merged := f.reduce(old, v)
 		if merged == old {
 			return false
 		}
-		if f.Vals[lv].CompareAndSwap(old, merged) {
+		f.vals[lv] = merged
+		f.updated.Set(int(lv))
+		return true
+	}
+	for {
+		old := atomic.LoadUint64(&f.vals[lv])
+		merged := f.reduce(old, v)
+		if merged == old {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&f.vals[lv], old, merged) {
 			f.updated.Set(int(lv))
 			return true
 		}
@@ -231,9 +275,9 @@ func (f *Field) gather(list []uint32, reset bool) []byte {
 	take := func(lv uint32) uint64 {
 		if reset {
 			f.updated.Clear(int(lv))
-			return f.Vals[lv].Swap(f.identity)
+			return f.swap(lv, f.identity)
 		}
-		return f.Vals[lv].Load()
+		return f.Get(lv)
 	}
 
 	bmLen := (len(list) + 7) / 8
@@ -326,7 +370,7 @@ func (f *Field) scatter(list []uint32, data []byte, combine bool) {
 					f.OnChange(lv)
 				}
 			} else {
-				old := f.Vals[lv].Swap(v)
+				old := f.swap(lv, v)
 				if old != v && f.OnChange != nil {
 					f.OnChange(lv)
 				}
@@ -348,7 +392,7 @@ func (f *Field) scatterPairs(list []uint32, body []byte, count int, combine bool
 					f.OnChange(lv)
 				}
 			} else {
-				old := f.Vals[lv].Swap(v)
+				old := f.swap(lv, v)
 				if old != v && f.OnChange != nil {
 					f.OnChange(lv)
 				}

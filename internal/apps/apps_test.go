@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,15 +16,15 @@ import (
 	"lcigraph/internal/partition"
 )
 
-// runAbelianApp executes body on an LCI-backed Abelian cluster over g and
-// collects master values into a global array.
-func runAbelianApp(t *testing.T, g *graph.Graph, p int,
+// runAbelianApp executes body on an LCI-backed Abelian cluster of p ranks
+// with threads compute threads each, and collects master values into a
+// global array.
+func runAbelianApp(g *graph.Graph, p, threads int,
 	body func(rt *abelian.Runtime) *abelian.Field) []uint64 {
-	t.Helper()
 	pt := partition.Build(g, p, partition.VertexCut)
 	fab := fabric.New(p, fabric.TestProfile())
 	out := make([]uint64, g.N)
-	cluster.Run(p, 2, func(r int) comm.Layer {
+	cluster.Run(p, threads, func(r int) comm.Layer {
 		return comm.NewLCILayer(fab.Endpoint(r), lci.Options{})
 	}, func(h *cluster.Host) {
 		rt := abelian.New(h, pt.Hosts[h.Rank], partition.VertexCut)
@@ -44,68 +45,77 @@ func equalU64(t *testing.T, got, want []uint64, label string) {
 	}
 }
 
+// TestAbelianAppsDirect runs every Abelian app at 1, 2 and 4 compute
+// threads per rank against its single-host oracle. One thread takes the
+// fields' single-writer path; two and four take the CAS path, four with
+// more workers than the machine may have cores.
 func TestAbelianAppsDirect(t *testing.T) {
 	g := graph.Kron(6, 5, 2, 16)
-	const p = 3
-
-	bfs := runAbelianApp(t, g, p, func(rt *abelian.Runtime) *abelian.Field {
-		f, rounds := BFS(rt, 3)
+	const p, src, prIters, k = 3, 3, 6, 4
+	nonzero := func(t *testing.T, label string, rounds int) {
 		if rounds == 0 {
-			t.Error("bfs: zero rounds")
+			t.Errorf("%s: zero rounds", label)
 		}
-		return f
-	})
-	equalU64(t, bfs, OracleBFS(g, 3), "bfs")
-
-	sssp := runAbelianApp(t, g, p, func(rt *abelian.Runtime) *abelian.Field {
-		f, _ := SSSP(rt, 3)
-		return f
-	})
-	equalU64(t, sssp, OracleSSSP(g, 3), "sssp")
-
-	delta := runAbelianApp(t, g, p, func(rt *abelian.Runtime) *abelian.Field {
-		f, _ := SSSPDelta(rt, 3, 8)
-		return f
-	})
-	equalU64(t, delta, OracleSSSP(g, 3), "sssp-delta")
-
-	cc := runAbelianApp(t, g, p, func(rt *abelian.Runtime) *abelian.Field {
-		f, _ := CC(rt)
-		return f
-	})
-	equalU64(t, cc, OracleCC(g), "cc")
-
-	dir := runAbelianApp(t, g, p, func(rt *abelian.Runtime) *abelian.Field {
-		f, rounds, pulls := BFSDirectionOpt(rt, 3)
-		if pulls == 0 {
-			t.Log("bfs-dir: no pull rounds on this input (frontier threshold)")
+	}
+	ranks := func(vals []uint64) []float64 {
+		out := make([]float64, len(vals))
+		for i, v := range vals {
+			out[i] = math.Float64frombits(v)
 		}
-		if rounds == 0 {
-			t.Error("bfs-dir: zero rounds")
+		return out
+	}
+	apps := []struct {
+		name string
+		run  func(t *testing.T, rt *abelian.Runtime) *abelian.Field
+		want []uint64 // nil: compare as PageRank ranks
+	}{
+		{"bfs", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, rounds := BFS(rt, src)
+			nonzero(t, "bfs", rounds)
+			return f
+		}, OracleBFS(g, src)},
+		{"bfs-dir", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, rounds, _ := BFSDirectionOpt(rt, src)
+			nonzero(t, "bfs-dir", rounds)
+			return f
+		}, OracleBFS(g, src)},
+		{"cc", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, _ := CC(rt)
+			return f
+		}, OracleCC(g)},
+		{"sssp", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, _ := SSSP(rt, src)
+			return f
+		}, OracleSSSP(g, src)},
+		{"sssp-delta", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, _ := SSSPDelta(rt, src, 8)
+			return f
+		}, OracleSSSP(g, src)},
+		{"pagerank", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			return PageRank(rt, prIters)
+		}, nil},
+		{"kcore", func(t *testing.T, rt *abelian.Runtime) *abelian.Field {
+			f, _ := KCore(rt, k)
+			return f
+		}, OracleKCore(g, g.N, k)},
+	}
+	prWant := OraclePageRank(g, prIters)
+	for _, app := range apps {
+		for _, threads := range []int{1, 2, 4} {
+			app, threads := app, threads
+			t.Run(fmt.Sprintf("%s/threads=%d", app.name, threads), func(t *testing.T) {
+				got := runAbelianApp(g, p, threads, func(rt *abelian.Runtime) *abelian.Field {
+					return app.run(t, rt)
+				})
+				if app.want == nil {
+					if d := MaxRankDelta(prWant, ranks(got)); d > 1e-9 {
+						t.Fatalf("pagerank delta %.3e", d)
+					}
+					return
+				}
+				equalU64(t, got, app.want, app.name)
+			})
 		}
-		return f
-	})
-	equalU64(t, dir, OracleBFS(g, 3), "bfs-dir")
-}
-
-func TestAbelianPageRankDirect(t *testing.T) {
-	g := graph.Kron(6, 5, 2, 0)
-	const p, iters = 3, 6
-	pt := partition.Build(g, p, partition.VertexCut)
-	fab := fabric.New(p, fabric.TestProfile())
-	ranks := make([]float64, g.N)
-	cluster.Run(p, 2, func(r int) comm.Layer {
-		return comm.NewLCILayer(fab.Endpoint(r), lci.Options{})
-	}, func(h *cluster.Host) {
-		rt := abelian.New(h, pt.Hosts[h.Rank], partition.VertexCut)
-		f := PageRank(rt, iters)
-		for m := 0; m < rt.HG.NumMasters; m++ {
-			ranks[rt.HG.L2G[m]] = math.Float64frombits(f.Get(uint32(m)))
-		}
-	})
-	want := OraclePageRank(g, iters)
-	if d := MaxRankDelta(want, ranks); d > 1e-9 {
-		t.Fatalf("pagerank delta %.3e", d)
 	}
 }
 

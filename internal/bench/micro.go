@@ -51,34 +51,39 @@ func MicroLatency(iface string, size, iters int, prof fabric.Profile, impl mpi.I
 	panic("bench: unknown iface " + iface)
 }
 
+// lciPingPong progresses each endpoint inline from the goroutine that uses
+// it, as mpiPingPong polls inline: with no separate Serve goroutines, a hop
+// does not wait for a scheduler handoff on machines with few cores. Each
+// endpoint is still progressed by exactly one goroutine.
 func lciPingPong(size, iters int, prof fabric.Profile) time.Duration {
 	fab := fabric.New(2, prof)
 	a := lci.NewEndpoint(fab.Endpoint(0), lci.Options{})
 	b := lci.NewEndpoint(fab.Endpoint(1), lci.Options{})
-	stop := make(chan struct{})
-	defer close(stop)
-	go a.Serve(stop)
-	go b.Serve(stop)
 	wa, wb := a.Pool().RegisterWorker(), b.Pool().RegisterWorker()
 
 	buf := make([]byte, size)
+	poll := func(e *lci.Endpoint) {
+		if !e.Progress() {
+			runtime.Gosched()
+		}
+	}
 	recvOne := func(e *lci.Endpoint) {
 		for {
 			if r, ok := e.RecvDeq(); ok {
-				r.Wait(nil)
+				r.Wait(func() { e.Progress() })
 				r.Release() // recycle the pooled wire frame
 				return
 			}
-			runtime.Gosched()
+			poll(e)
 		}
 	}
 	send := func(e *lci.Endpoint, w, dst int) {
 		for {
 			if r, ok := e.SendEnq(w, dst, 0, buf); ok {
-				r.Wait(nil)
+				r.Wait(func() { e.Progress() })
 				return
 			}
-			runtime.Gosched()
+			poll(e)
 		}
 	}
 	done := make(chan struct{})

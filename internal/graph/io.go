@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary graph format: a small header followed by the CSR arrays, little
@@ -69,21 +70,20 @@ func Read(r io.Reader) (*Graph, error) {
 	if hdr[0] != version {
 		return nil, fmt.Errorf("graph: unsupported version %d", hdr[0])
 	}
-	n, m, weighted := int(hdr[1]), int(hdr[2]), hdr[3] == 1
-	g := &Graph{N: n, Offsets: make([]int64, n+1), Edges: make([]uint32, m)}
-	for i := range g.Offsets {
-		var o uint64
-		if err := binary.Read(br, binary.LittleEndian, &o); err != nil {
-			return nil, err
-		}
-		g.Offsets[i] = int64(o)
+	if hdr[1] > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d vertices exceed the uint32 id space", hdr[1])
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Edges); err != nil {
+	n, m, weighted := hdr[1], hdr[2], hdr[3] == 1
+	g := &Graph{N: int(n)}
+	var err error
+	if g.Offsets, err = readChunked[int64](br, n+1); err != nil {
+		return nil, err
+	}
+	if g.Edges, err = readChunked[uint32](br, m); err != nil {
 		return nil, err
 	}
 	if weighted {
-		g.Weights = make([]uint32, m)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readChunked[uint32](br, m); err != nil {
 			return nil, err
 		}
 	}
@@ -91,4 +91,22 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readChunked reads count little-endian values in chunks of at most 64 Ki,
+// so a header that claims more data than the stream holds fails at EOF
+// instead of allocating the claimed size up front.
+func readChunked[T int64 | uint32](r io.Reader, count uint64) ([]T, error) {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(count, chunk))
+	for rest := count; rest > 0; {
+		k := min(rest, chunk)
+		buf := make([]T, k)
+		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+			return nil, err
+		}
+		out = append(out, buf...)
+		rest -= k
+	}
+	return out, nil
 }

@@ -1306,10 +1306,12 @@ func (p *Provider) noteOvfl(s *readerShard, cum uint32) {
 }
 
 func (p *Provider) handleDatagram(b []byte) {
-	if len(b) < 4 || b[0] != magicByte || b[1] != wireVersion {
+	if len(b) < 4 {
 		p.dropped.Add(1)
 		return
 	}
+	// The decoders check the rest of the common header (magic, version,
+	// flags), so a packet from another wire version is dropped below.
 	switch b[2] {
 	case pktData:
 		d, ok := decodeData(b)

@@ -116,9 +116,17 @@ func encodeAck(b []byte, src int, cumAck uint32, credit uint64) int {
 	return ackPktLen
 }
 
-// decodeData parses a DATA packet (after common-header validation).
+// validCommon reports whether b starts with this wire version's common
+// header for packet type typ, with no flag outside flags set.
+func validCommon(b []byte, typ, flags byte) bool {
+	return len(b) >= 4 && b[0] == magicByte && b[1] == wireVersion && b[2] == typ && b[3]&^flags == 0
+}
+
+// decodeData parses a DATA packet. It accepts exactly what encodeData and
+// stampAck produce: an unstamped packet must carry zero piggyback fields,
+// so every accepted byte means something.
 func decodeData(b []byte) (dataPkt, bool) {
-	if len(b) < dataHdrLen {
+	if len(b) < dataHdrLen || !validCommon(b, pktData, flagAck) {
 		return dataPkt{}, false
 	}
 	d := dataPkt{
@@ -134,6 +142,8 @@ func decodeData(b []byte) (dataPkt, bool) {
 		d.hasAck = true
 		d.pgAck = binary.LittleEndian.Uint32(b[dataAckOff:])
 		d.pgCredit = binary.LittleEndian.Uint64(b[dataCreditOff:])
+	} else if binary.LittleEndian.Uint32(b[dataAckOff:]) != 0 || binary.LittleEndian.Uint64(b[dataCreditOff:]) != 0 {
+		return dataPkt{}, false
 	}
 	if int(d.fragOff)+len(d.chunk) > int(d.msgLen) {
 		return dataPkt{}, false
@@ -141,9 +151,10 @@ func decodeData(b []byte) (dataPkt, bool) {
 	return d, true
 }
 
-// decodeAck parses a standalone ACK packet.
+// decodeAck parses a standalone ACK packet: exactly ackPktLen bytes, as
+// encodeAck writes them.
 func decodeAck(b []byte) (src int, cumAck uint32, credit uint64, ok bool) {
-	if len(b) < ackPktLen {
+	if len(b) != ackPktLen || !validCommon(b, pktAck, 0) {
 		return 0, 0, 0, false
 	}
 	return int(binary.LittleEndian.Uint32(b[4:])),
