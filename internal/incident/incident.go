@@ -102,6 +102,7 @@ func (o *Options) fill() {
 // captured is a finished local capture headed for the pump.
 type captured struct {
 	id   string
+	trig Trigger
 	blob []byte
 }
 
@@ -312,6 +313,12 @@ type wireMsg struct {
 // within the transport's comfort zone regardless of layer.
 const chunkPayload = 128 << 10
 
+// maxEvidenceChunks bounds one rank's evidence at maxEvidenceChunks ×
+// chunkPayload (128 MiB). A chunk header's Total sizes rank 0's reassembly
+// slice, so rank 0 drops any header above the cap, and a sender never
+// posts more chunks than it.
+const maxEvidenceChunks = 1024
+
 func (r *Recorder) post(peer int, h wireMsg, payload []byte) {
 	hb, err := json.Marshal(h)
 	if err != nil {
@@ -448,7 +455,7 @@ func (r *Recorder) handleWire(h wireMsg, payload []byte, now time.Time) {
 		g := r.pp.cur
 		if r.opt.Rank != 0 || g == nil || g.id != h.ID ||
 			h.Rank <= 0 || h.Rank >= r.opt.Ranks ||
-			h.Total <= 0 || h.Seq < 0 || h.Seq >= h.Total {
+			h.Total <= 0 || h.Total > maxEvidenceChunks || h.Seq < 0 || h.Seq >= h.Total {
 			return
 		}
 		if g.parts[h.Rank] == nil {
@@ -477,6 +484,11 @@ func (r *Recorder) postEvidence(ev captured) {
 	if total == 0 {
 		total = 1
 	}
+	if total > maxEvidenceChunks {
+		// Rank 0 would drop it: keep the evidence as a local bundle.
+		go r.writeLocal(ev.trig, ev.blob)
+		return
+	}
 	for seq := 0; seq < total; seq++ {
 		lo := seq * chunkPayload
 		hi := lo + chunkPayload
@@ -501,7 +513,7 @@ func (r *Recorder) beginCapture(t Trigger, id string, force bool) {
 		r.g.end(time.Now())
 		if r.hasLayer.Load() && id != "" {
 			select {
-			case r.evidCh <- captured{id: id, blob: blob}:
+			case r.evidCh <- captured{id: id, trig: t, blob: blob}:
 			default:
 			}
 			return

@@ -71,9 +71,9 @@ type HostGraph struct {
 	// Local vertex space: ids [0,NumMasters) are masters, the rest mirrors.
 	NumMasters int
 	NumLocal   int
-	L2G        []uint32          // local → global
-	g2l        map[uint32]uint32 // global → local
-	OwnerOf    []int             // local id → owning host
+	L2G        []uint32 // local → global
+	g2l        []uint32 // global → local, length GlobalN; noProxy where none
+	OwnerOf    []int    // local id → owning host
 
 	// Local out-edges (both endpoints as local ids).
 	Local *graph.Graph
@@ -92,11 +92,17 @@ type HostGraph struct {
 	MastersFor [][]uint32
 }
 
+// noProxy marks a global id with no proxy on this host in g2l.
+const noProxy = ^uint32(0)
+
 // G2L translates a global id to this host's local id; ok is false when the
-// vertex has no proxy here.
+// vertex has no proxy here or gid is not a vertex of the graph at all.
 func (h *HostGraph) G2L(gid uint32) (uint32, bool) {
-	l, ok := h.g2l[gid]
-	return l, ok
+	if int(gid) >= len(h.g2l) {
+		return noProxy, false
+	}
+	l := h.g2l[gid]
+	return l, l != noProxy
 }
 
 // IsMaster reports whether local id l is a master proxy.
@@ -284,7 +290,10 @@ func buildHost(g *graph.Graph, pt *Partitioned, h int, vstarts []uint32,
 		Host: h, P: pt.P, GlobalN: g.N,
 		NumMasters: len(masters),
 		NumLocal:   len(masters) + len(mirrors),
-		g2l:        make(map[uint32]uint32, len(masters)+len(mirrors)),
+		g2l:        make([]uint32, g.N),
+	}
+	for i := range hg.g2l {
+		hg.g2l[i] = noProxy
 	}
 	hg.L2G = append(append([]uint32{}, masters...), mirrors...)
 	for l, gid := range hg.L2G {

@@ -64,6 +64,22 @@ func checkInvariants(t *testing.T, g *graph.Graph, p int, pol Policy) {
 				t.Fatalf("%v: G2L(L2G) not identity", pol)
 			}
 		}
+		// G2L knows exactly the local proxies, and ids beyond the graph
+		// (a remote peer's input) are no proxy rather than a panic.
+		proxies := 0
+		for gid := uint32(0); int(gid) < g.N; gid++ {
+			if _, ok := hg.G2L(gid); ok {
+				proxies++
+			}
+		}
+		if proxies != hg.NumLocal {
+			t.Fatalf("%v: G2L finds %d proxies, host has %d", pol, proxies, hg.NumLocal)
+		}
+		for _, gid := range []uint32{uint32(g.N), uint32(g.N) + 1, ^uint32(0)} {
+			if _, ok := hg.G2L(gid); ok {
+				t.Fatalf("%v: G2L(%d) found a proxy beyond the graph", pol, gid)
+			}
+		}
 	}
 	for v, c := range masterCount {
 		if c != 1 {

@@ -14,6 +14,7 @@ import (
 //	lci_serve_cache_{hits,misses}_total   result-cache effectiveness
 //	lci_serve_subqueries_total            adjacency batches scattered
 //	lci_serve_served_total                adjacency batches answered here
+//	lci_serve_bad_replies_total           adjacency replies dropped as malformed
 //	lci_serve_inflight                    queries currently resident (gauge)
 type metrics struct {
 	ok      map[uint8]*telemetry.Counter
@@ -25,6 +26,7 @@ type metrics struct {
 	cacheMisses *telemetry.Counter
 	subqueries  *telemetry.Counter
 	served      *telemetry.Counter
+	badReplies  *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry, inflight func() int64) *metrics {
@@ -45,6 +47,7 @@ func newMetrics(reg *telemetry.Registry, inflight func() int64) *metrics {
 	m.cacheMisses = reg.Counter("lci_serve_cache_misses_total")
 	m.subqueries = reg.Counter("lci_serve_subqueries_total")
 	m.served = reg.Counter("lci_serve_served_total")
+	m.badReplies = reg.Counter("lci_serve_bad_replies_total")
 	reg.GaugeFunc("lci_serve_inflight", telemetry.AggSum, inflight)
 	return m
 }
