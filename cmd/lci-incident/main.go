@@ -214,8 +214,8 @@ func reportRank(ev rankEvidence) {
 	// Per-shard poll-rate collapse: compare each progress-poll series' recent
 	// window against its pre-incident baseline.
 	type shardDelta struct {
-		name           string
-		base, recent   float64
+		name         string
+		base, recent float64
 	}
 	var collapsed []shardDelta
 	for name, pts := range ev.hlth.Series {
@@ -336,8 +336,8 @@ func reportCPUDelta(ev rankEvidence) {
 		label = "continuous baseline only"
 	}
 	type row struct {
-		sym        string
-		frac, dlt  float64
+		sym       string
+		frac, dlt float64
 	}
 	var rows []row
 	for sym, f := range cur {

@@ -30,6 +30,15 @@ type AsyncLayer interface {
 	RecvTag(tag uint32) (Message, bool)
 }
 
+// Doorbell is implemented by layers whose transport signals arrivals. An
+// owner whose RecvTag calls found nothing may block on Arrivals until the
+// transport has handled new traffic, instead of polling on a timer; the
+// channel may also fire when nothing new is pending. Arrivals returns nil
+// when the transport has no doorbell.
+type Doorbell interface {
+	Arrivals() <-chan struct{}
+}
+
 // asyncEff is the fixed effective tag async traffic travels on: epoch 0 of
 // the reserved base tag. Reserved tags never go through epochs.next, so the
 // value cannot collide with any Exchange round.
@@ -41,12 +50,17 @@ func (l *LCILayer) PostTag(peer int, tag uint32, buf []byte) {
 	l.emit(l.workers[0], peer, asyncEff(tag), buf, nil, true, true)
 }
 
-// RecvTag implements AsyncLayer.
+// RecvTag implements AsyncLayer. On a stash miss it polls with one inline
+// progress pass if RECV-DEQ is empty (see pollInline).
 func (l *LCILayer) RecvTag(tag uint32) (Message, bool) {
 	eff := asyncEff(tag)
 	if m, ok := l.stash.take(eff); ok {
 		return m, true
 	}
-	l.poll()
+	l.pollInline()
 	return l.stash.take(eff)
 }
+
+// Arrivals implements Doorbell: the provider's doorbell, nil when the
+// provider has none.
+func (l *LCILayer) Arrivals() <-chan struct{} { return l.bell }

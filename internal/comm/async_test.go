@@ -147,21 +147,58 @@ func TestAsyncInterleavesWithExchange(t *testing.T) {
 // not checked: LCI does not order, and here a rendezvous message is
 // overtaken by later eager ones, by another rendezvous whose fragments got
 // through first, or by later sends while a full ring defers it.
+// TestAsyncConservation: both ranks post and receive on two reserved tags
+// at once, eager and rendezvous mixed, while extra goroutines call Progress
+// on every layer concurrently with its Serve goroutine and with the
+// owner's inline passes. Every message arrives exactly once and intact, and
+// after Stop no tracked byte and no fabric frame is left over, at one
+// progress shard and at four.
 func TestAsyncConservation(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		prof fabric.Profile
+		name   string
+		prof   fabric.Profile
+		shards int
 	}{
-		{"test", fabric.TestProfile()},
-		{"sockets", fabric.Sockets()},
+		{"test", fabric.TestProfile(), 1},
+		{"sockets", fabric.Sockets(), 1},
+		{"test-shards4", fabric.TestProfile(), 4},
+		{"sockets-shards4", fabric.Sockets(), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const perTag = 24
 			tags := [2]uint32{250, 251}
 			fab := fabric.New(2, tc.prof)
 			layers := [2]*LCILayer{
-				NewLCILayer(fab.Endpoint(0), lci.Options{}),
-				NewLCILayer(fab.Endpoint(1), lci.Options{}),
+				NewLCILayer(fab.Endpoint(0), lci.Options{Shards: tc.shards}),
+				NewLCILayer(fab.Endpoint(1), lci.Options{Shards: tc.shards}),
+			}
+			for _, l := range layers {
+				if got := l.ep.Shards(); got != tc.shards {
+					t.Fatalf("layer has %d shards, want %d", got, tc.shards)
+				}
+			}
+
+			// Extra progress callers: any goroutine may drive Progress.
+			const extraProgress = 3
+			stopExtra := make(chan struct{})
+			var extra sync.WaitGroup
+			for _, l := range layers {
+				for i := 0; i < extraProgress; i++ {
+					extra.Add(1)
+					go func(l *LCILayer) {
+						defer extra.Done()
+						for {
+							select {
+							case <-stopExtra:
+								return
+							default:
+							}
+							if !l.ep.Progress() {
+								runtime.Gosched()
+							}
+						}
+					}(l)
+				}
 			}
 			// Every third message rides rendezvous; the rest are eager.
 			large := func(seq int) bool { return seq%3 == 2 }
@@ -228,6 +265,8 @@ func TestAsyncConservation(t *testing.T) {
 				}(r)
 			}
 			wg.Wait()
+			close(stopExtra)
+			extra.Wait()
 			for _, l := range layers {
 				l.Stop()
 			}

@@ -9,15 +9,22 @@ import (
 
 // LCILayer is the §III-D communication layer: the calling thread uses
 // SEND-ENQ and RECV-DEQ directly (through the shared LCI port); a
-// communication-server goroutine runs the LCI progress loop. On top of the
-// port it keeps only its receive discipline: epochs and a per-tag stash for
-// Exchange and fused sends, and fixed-epoch reserved tags for PostTag/RecvTag.
+// communication-server goroutine runs the LCI progress loop, and the owner
+// runs a pass itself when its receive waits find RECV-DEQ empty. On top of
+// the port it keeps only its receive discipline: epochs and a per-tag stash
+// for Exchange and fused sends, and fixed-epoch reserved tags for
+// PostTag/RecvTag. It exposes the provider's doorbell (Doorbell), so an
+// idle owner can park instead of polling.
 type LCILayer struct {
 	lciPort
 	rank int
 
 	epochs epochs
 	stash  stash
+
+	// bell is the provider's arrival doorbell (fabric.Doorbell), nil when
+	// it has none.
+	bell <-chan struct{}
 }
 
 // NewLCILayer builds the LCI layer over a fabric provider and starts its
@@ -29,6 +36,9 @@ func NewLCILayer(fep fabric.Provider, opt lci.Options) *LCILayer {
 		stash:  stash{},
 	}
 	l.start(fep, opt, l.stash.put)
+	if d, ok := fep.(fabric.Doorbell); ok {
+		l.bell = d.Arrivals()
+	}
 	return l
 }
 
@@ -60,7 +70,7 @@ func (l *LCILayer) recvEpoch(eff uint32, want int, onRecv func(peer int, data []
 			got++
 			continue
 		}
-		if !l.poll() {
+		if !l.pollInline() {
 			runtime.Gosched()
 		}
 	}

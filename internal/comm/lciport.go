@@ -184,19 +184,20 @@ func (p *lciPort) reapSends() bool {
 // completed sends; every completed message reaches deliver. The paper's
 // layer "maintains a list of incomplete requests ... by simply checking the
 // boolean-type status of each request". It reports whether anything moved.
-func (p *lciPort) poll() bool {
-	worked := false
-	for {
-		r, ok := p.ep.RecvDeq()
-		if !ok {
-			break
-		}
+func (p *lciPort) poll() bool { return p.pollWith(false) }
+
+// pollInline is poll for the owner's receive waits (RecvTag, Exchange's
+// recvEpoch): when RECV-DEQ comes back empty it runs one progress pass on
+// the owner's goroutine instead of waiting for the communication server.
+// That pass also flushes the provider's deferred transmits, so sends the
+// owner posted since its last wait leave now.
+func (p *lciPort) pollInline() bool { return p.pollWith(true) }
+
+func (p *lciPort) pollWith(inline bool) bool {
+	worked := p.recvDeq()
+	if !worked && inline && p.ep.Progress() {
 		worked = true
-		if r.Done() {
-			p.complete(r)
-		} else {
-			p.pendingRecv = append(p.pendingRecv, r)
-		}
+		p.recvDeq()
 	}
 	keep := p.pendingRecv[:0]
 	for _, r := range p.pendingRecv {
@@ -212,6 +213,24 @@ func (p *lciPort) poll() bool {
 		worked = true
 	}
 	return worked
+}
+
+// recvDeq drains RECV-DEQ: done requests are delivered, rendezvous ones
+// join pendingRecv. It reports whether anything was dequeued.
+func (p *lciPort) recvDeq() bool {
+	worked := false
+	for {
+		r, ok := p.ep.RecvDeq()
+		if !ok {
+			return worked
+		}
+		worked = true
+		if r.Done() {
+			p.complete(r)
+		} else {
+			p.pendingRecv = append(p.pendingRecv, r)
+		}
+	}
 }
 
 // complete converts a completed receive request into deliveries. Rendezvous

@@ -15,7 +15,9 @@
 //     first packet to arrive is the first returned (the first-packet policy).
 //   - Progress (Algorithm 3) is the communication server step: it polls the
 //     network and runs the per-packet-type callback. A dedicated server
-//     goroutine calls it in a loop (Serve).
+//     goroutine calls it in a loop (Serve), and any other goroutine may call
+//     it too: a per-endpoint lock serializes the passes, and a caller that
+//     finds it held returns at once.
 //
 // Completion is a single atomic flag on the Request: callers poll
 // Request.Done(), which is one atomic load — not a function call that, like

@@ -2,6 +2,7 @@ package lci
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,26 +160,35 @@ type outItem struct {
 
 // Endpoint is one host's LCI instance over a fabric endpoint.
 //
-// SendEnq and RecvDeq may be called from any compute thread. Progress (or
-// Serve) must be driven by exactly one communication-server goroutine.
+// SendEnq and RecvDeq may be called from any compute thread. Progress may
+// be called from any goroutine; the progress lock serializes passes, and
+// Serve is one such caller, the dedicated communication server.
 type Endpoint struct {
 	fep   fabric.Provider
 	pool  *Pool
 	q     *concurrent.MPMC[*fabric.Frame] // Q: global concurrent incoming queue
-	out   *concurrent.MPSC[outItem]       // deferred ops, flushed by the server
+	out   *concurrent.MPSC[outItem]       // deferred ops, flushed by Progress
 	sends *slotTable[sendPending]
 	recvs *slotTable[*recvPending]
 	alloc Allocator
 
 	eagerLimit   int
 	serverWorker int
-	stash        []*fabric.Frame // polled frames awaiting space in Q
-	outScratch   []outItem       // flushOutbox reuse: items blocked this round
-	blockedDst   map[int]bool    // flushOutbox reuse: destinations that hit ErrResource
-	outBlocked   bool            // last flushOutbox re-parked items (server goroutine only)
+	// bell is the provider's arrival doorbell, nil when it has none. A
+	// productive Progress pass rings it.
+	bell fabric.Doorbell
+
+	// progMu is the progress lock. It guards the fields from here to frags,
+	// the poll tallies in m, and ps: the state only a Progress pass touches.
+	progMu     sync.Mutex
+	batch      [progressBatch]*fabric.Frame // PollBatch buffer, cleared after each pass
+	stash      []*fabric.Frame              // polled frames awaiting space in Q
+	outScratch []outItem                    // flushOutbox reuse: items blocked this round
+	blockedDst map[int]bool                 // flushOutbox reuse: destinations that hit ErrResource
+	outBlocked bool                         // last flushOutbox re-parked items
 
 	// frags are in-progress fragmented rendezvous sends (RDMA-less
-	// transports only), drained by the server.
+	// transports only), drained by Progress.
 	frags []*fragJob
 
 	// injectStall is the armed LCI_INJECT_STALL fault (nil in production);
@@ -220,13 +230,13 @@ type Endpoint struct {
 // EvProgressBusy/EvProgressIdle transition events and the empty-poll stall
 // latch.
 //
-// Ownership rule: every field in this struct is owned EXCLUSIVELY by the
-// single goroutine driving this endpoint's Progress (the shard's
-// communication server). The fields are deliberately plain — not atomic —
-// because no other goroutine may read or write them; under endpoint
-// sharding each shard embeds its own copy, so K progress goroutines never
-// share an instance. Anything that other goroutines must observe (stat
-// counters, pool occupancy) lives outside this struct as atomics.
+// Ownership rule: every field in this struct belongs to whoever holds the
+// endpoint's progress lock (the shard's communication server, or an owner
+// progressing inline). The fields are deliberately plain — not atomic —
+// because only the lock holder reads or writes them; under endpoint
+// sharding each shard embeds its own copy behind its own lock. Anything
+// that other goroutines must observe (stat counters, pool occupancy) lives
+// outside this struct as atomics.
 type progressState struct {
 	seq        uint64 // sampling clock for the timed progress iterations
 	wasBusy    bool   // previous poll did work — busy/idle edge detection
@@ -294,6 +304,7 @@ func NewEndpoint(fep fabric.Provider, opt Options) *Endpoint {
 		e.tr = tracing.Default()
 	}
 	e.rank = fep.Rank()
+	e.bell, _ = fep.(fabric.Doorbell)
 	return e
 }
 

@@ -77,6 +77,10 @@ func (e *Endpoint) maybeInjectStall(start time.Time, stop <-chan struct{}) {
 	inj.done = true
 	fmt.Fprintf(os.Stderr, "lci: injected stall: rank %d shard %d/%d wedged for %v\n",
 		e.rank, e.shardIdx, e.shardTotal, inj.dur)
+	// Hold the progress lock for the window, so owners that progress inline
+	// are wedged out too, as they would be behind a pass stuck in a syscall.
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
 	t := time.NewTimer(inj.dur)
 	defer t.Stop()
 	select {

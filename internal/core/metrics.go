@@ -55,10 +55,10 @@ type coreMetrics struct {
 	progressIter                          *telemetry.Histogram
 	eagerLat                              *telemetry.Histogram
 
-	// Busy/idle poll tallies accumulate in plain fields — Progress runs on
-	// one goroutine, and a spinning progress loop calls it millions of times
-	// a second, so even an uncontended atomic per iteration is measurable on
-	// the 64 B datapath. flushPolls folds them into the registry counters
+	// Busy/idle poll tallies accumulate in plain fields — Progress runs
+	// under the endpoint's progress lock, and a spinning progress loop calls
+	// it millions of times a second, so even an uncontended atomic per
+	// iteration is measurable on the 64 B datapath. flushPolls folds them into the registry counters
 	// once per sampling window (the counters lag by < progressSampleMask+1
 	// polls, irrelevant against the idle spin rate).
 	busyN, idleN int64

@@ -9,11 +9,17 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// IdleBackoff yields for short idle streaks and parks briefly for long
-// ones, so idle progress loops do not monopolize low-core schedulers. It
-// returns the updated idle counter (0 when work was done). The core server,
-// the comm layers' progress threads and the serving loops all back off
-// through it.
+// IdleBackoff yields for short idle streaks and sleeps for long ones, so
+// idle progress loops do not monopolize low-core schedulers. It returns the
+// updated idle counter (0 when work was done). The sleep asks for 20 µs but
+// lasts about a millisecond when the P would otherwise be idle: Go's epoll
+// netpoller rounds any sub-millisecond wait up to 1 ms (go1.24: a 20 µs
+// time.Sleep at GOMAXPROCS=1 took p50 1.06 ms, p99 1.31 ms). The 64 yields
+// before it keep the run queue non-empty, so the scheduler does not check
+// the netpoller and socket wake-ups wait. The core Serve loop, the probe
+// layer's progress thread, and serve's loops on a layer with no doorbell
+// back off through it; loops that can block on a fabric.Doorbell park there
+// instead.
 func IdleBackoff(idle int, worked bool) int {
 	if worked {
 		return 0
@@ -36,9 +42,35 @@ const progressBatch = 64
 // per-packet-type callbacks. Control frames (RTR, FRG, put completions) are
 // recycled to the fabric pool as soon as their handler returns; data frames
 // (EGR, RTS) travel through Q and are recycled by their consumers. It
-// returns true if any work was done. It must be called from a single
-// goroutine (the dedicated communication server).
+// returns true if any work was done.
+//
+// Any goroutine may call it: the dedicated server (Serve) and owners that
+// progress inline while they wait. One progress lock per endpoint serializes
+// the passes; a caller that finds it held returns false at once, since the
+// holder's pass does the same work. A pass that did work rings the
+// provider's doorbell (fabric.Doorbell) after releasing the lock, so an
+// owner that lost the lock, or parked while this pass moved its messages
+// into Q, looks again.
 func (e *Endpoint) Progress() bool {
+	if !e.progMu.TryLock() {
+		return false
+	}
+	return e.progressUnlock()
+}
+
+// progressUnlock runs one pass with the progress lock held, releases it and
+// rings the doorbell if the pass did work.
+func (e *Endpoint) progressUnlock() bool {
+	worked := e.progressLocked()
+	e.progMu.Unlock()
+	if worked && e.bell != nil {
+		e.bell.Ring()
+	}
+	return worked
+}
+
+// progressLocked is one Progress pass. Progress lock held.
+func (e *Endpoint) progressLocked() bool {
 	e.ps.seq++
 	if e.m.progressIter != nil && e.ps.seq&progressSampleMask == 0 {
 		t0 := time.Now()
@@ -58,10 +90,12 @@ func (e *Endpoint) Progress() bool {
 // emptyPollStallStreak is the consecutive-empty-poll count at which the
 // progress server declares itself stalled — but only while work is parked
 // (outbox items refused by the fabric, stashed frames the consumers never
-// drain, fragment jobs that cannot advance). Idle polls past the backoff
-// knee sleep 20µs each, so 1<<16 empty polls is on the order of a second of
-// continuous starvation. stallPoll extends netfabric's stall kinds (1=ack,
-// 2=credit) in the EvStallWarn arg.
+// drain, fragment jobs that cannot advance). Serve's idle polls past the
+// backoff knee sleep about 1 ms each (see IdleBackoff), so 1<<16 empty polls
+// is about a minute of continuous starvation when only Serve polls. Owners
+// that progress inline while they spin (Exchange's receive wait) poll
+// without sleeping and fill the streak sooner. stallPoll extends
+// netfabric's stall kinds (1=ack, 2=credit) in the EvStallWarn arg.
 const (
 	emptyPollStallStreak = 1 << 16
 	stallPoll            = 3
@@ -70,7 +104,7 @@ const (
 // notePoll records progress-server busy/idle *transitions* (not every poll:
 // a spinning server polls millions of times a second, and the edges are what
 // a timeline needs — the busy event's arg carries the length of the idle
-// streak it ended). Server goroutine only.
+// streak it ended). Progress lock held.
 func (e *Endpoint) notePoll(worked bool) {
 	if e.tr == nil {
 		return
@@ -102,7 +136,7 @@ func (e *Endpoint) notePoll(worked bool) {
 }
 
 // hasParkedWork reports whether the server is sitting on deferred work that
-// an empty poll failed to advance. Server goroutine only.
+// an empty poll failed to advance. Progress lock held.
 func (e *Endpoint) hasParkedWork() bool {
 	return e.outBlocked || len(e.stash) > 0 || len(e.frags) > 0
 }
@@ -126,12 +160,14 @@ func (e *Endpoint) progressStep() bool {
 		worked = true
 	}
 
-	var batch [progressBatch]*fabric.Frame
+	// The batch buffer is endpoint-owned: a local array would escape
+	// through the PollBatch interface call and cost an allocation per pass.
 	// Per-protocol RX tallies accumulate in locals and flush to the
 	// registry once per batch, keeping the per-frame dispatch cost at a
 	// register increment.
 	var rxEgr, rxRts, rxRtr, rxFrg, rxPut int64
-	n := e.fep.PollBatch(batch[:])
+	batch := e.batch[:]
+	n := e.fep.PollBatch(batch)
 	for _, f := range batch[:n] {
 		switch {
 		case f.Kind == fabric.KindPutDone:
@@ -162,6 +198,7 @@ func (e *Endpoint) progressStep() bool {
 			}
 		}
 	}
+	clear(batch[:n]) // drop the frame references; consumers own them now
 	if rxEgr > 0 {
 		e.m.rxEGR.Add(rxEgr)
 	}
@@ -396,8 +433,8 @@ func (e *Endpoint) completePut(f *fabric.Frame) {
 }
 
 // Serve drives Progress in a loop until stop is closed. It yields (and,
-// after long idle streaks, briefly sleeps) so co-located hosts make
-// progress; a real deployment pins the server thread and spins.
+// after long idle streaks, sleeps) so co-located hosts make progress; a
+// real deployment pins the server thread and spins.
 func (e *Endpoint) Serve(stop <-chan struct{}) {
 	idle := 0
 	start := time.Now()
@@ -415,8 +452,15 @@ func (e *Endpoint) Serve(stop <-chan struct{}) {
 }
 
 // Drain progresses until the outbox is empty and no frames are pending, for
-// orderly shutdown in tests.
+// orderly shutdown in tests. Unlike Progress it waits for the lock, so a
+// concurrent pass cannot end the drain early.
 func (e *Endpoint) Drain() {
-	for e.Progress() {
+	for e.progressWait() {
 	}
+}
+
+// progressWait is Progress that waits for the lock instead of giving up.
+func (e *Endpoint) progressWait() bool {
+	e.progMu.Lock()
+	return e.progressUnlock()
 }

@@ -101,7 +101,8 @@ func shardRoute(k int, byTag bool) func(*fabric.Frame) int {
 // Concurrency contract: SendEnq is safe from any registered worker (it
 // routes to the owning shard's own MPMC structures); RecvDeq is safe from
 // any goroutine but, exactly like Endpoint.RecvDeq, delivery order is only
-// meaningful with a single consumer. Serve must be called once.
+// meaningful with a single consumer. Progress is safe from any goroutine
+// (each shard has its own progress lock). Serve must be called once.
 type Sharded struct {
 	eps   []*Endpoint
 	k     int
@@ -288,16 +289,29 @@ func (s *Sharded) Serve(stop <-chan struct{}) {
 	wg.Wait()
 }
 
+// Progress runs one pass on every shard whose progress lock is free (see
+// Endpoint.Progress) and reports whether any of them did work. Shards
+// whose lock is held are skipped, not waited for.
+func (s *Sharded) Progress() bool {
+	worked := false
+	for _, e := range s.eps {
+		if e.Progress() {
+			worked = true
+		}
+	}
+	return worked
+}
+
 // Drain progresses every shard until none reports work, for orderly
 // shutdown after Serve has stopped. One quiet sweep is not proof — shard A
 // may complete a send whose control frame then lands on shard B — but a
 // full pass with no work on any shard is: nothing in flight can appear
-// without some shard working first.
+// without some shard working first. Each pass waits for its shard's lock.
 func (s *Sharded) Drain() {
 	for {
 		worked := false
 		for _, e := range s.eps {
-			if e.Progress() {
+			if e.progressWait() {
 				worked = true
 			}
 		}

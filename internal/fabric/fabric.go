@@ -273,7 +273,7 @@ func New(n int, prof Profile) *Fabric {
 		f.frames = concurrent.NewMPMC[*Frame](cap)
 	}
 	for i := range f.eps {
-		e := &Endpoint{fab: f, rank: i}
+		e := &Endpoint{fab: f, rank: i, bell: make(chan struct{}, 1)}
 		e.rs.Store(&ringSet{rings: []*concurrent.MPMC[*Frame]{
 			concurrent.NewMPMC[*Frame](prof.RingDepth),
 		}})
@@ -359,6 +359,7 @@ type Endpoint struct {
 	fab  *Fabric
 	rank int
 	rs   atomic.Pointer[ringSet]
+	bell chan struct{} // Doorbell: rung on every delivery to this endpoint
 
 	mu      sync.Mutex
 	regions []region
@@ -561,8 +562,20 @@ func (e *Endpoint) Put(dst int, rkey uint32, offset int, data []byte, imm uint64
 // owns it. False means the ring was full (back-pressure: the caller rolls
 // the frame back and reports ErrResource).
 func (e *Endpoint) deliver(f *Frame) bool {
-	return e.rs.Load().pick(f).Enqueue(f)
+	if !e.rs.Load().pick(f).Enqueue(f) {
+		return false
+	}
+	RingBell(e.bell)
+	return true
 }
+
+// Arrivals implements Doorbell: it is rung after every frame delivered to
+// this endpoint. A ring into a full slot is one load, so senders pay next
+// to nothing while nobody waits.
+func (e *Endpoint) Arrivals() <-chan struct{} { return e.bell }
+
+// Ring implements Doorbell.
+func (e *Endpoint) Ring() { RingBell(e.bell) }
 
 // Poll removes and returns one incoming frame, or nil if none is pending.
 // The caller owns the frame until it calls Release. On a sharded endpoint
@@ -659,6 +672,7 @@ func (v *shardView) Pending() int { return v.ring.Len() }
 
 var _ Provider = (*shardView)(nil)
 var _ Sharder = (*Endpoint)(nil)
+var _ Doorbell = (*Endpoint)(nil)
 
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats {

@@ -80,3 +80,27 @@ type ShardRoute struct {
 type Sharder interface {
 	ShardViews(k int, route ShardRoute) []Provider
 }
+
+// Doorbell is implemented by providers that can wake an idle consumer
+// instead of making it poll on a timer. The provider rings a one-slot
+// doorbell after it handles arrivals (a burst of datagrams, data or ack,
+// or a delivered frame), so a loop that found nothing to do can block on
+// Arrivals until the network has news. A ring while the slot is full is
+// absorbed: the doorbell says "look again", not how often. Ring lets a
+// consumer re-arm it, for instance after a progress pass that moved work
+// another goroutine is waiting for; a spurious ring costs one empty look.
+// Sharded views share their base provider's doorbell, and one goroutine is
+// expected to wait on it.
+type Doorbell interface {
+	Arrivals() <-chan struct{}
+	Ring()
+}
+
+// RingBell rings a one-slot doorbell channel without blocking; a full slot
+// absorbs the ring.
+func RingBell(bell chan struct{}) {
+	select {
+	case bell <- struct{}{}:
+	default:
+	}
+}

@@ -37,9 +37,9 @@ type Manifest struct {
 	Schema    int                 `json:"schema"`
 	ID        string              `json:"id"`
 	CreatedNs int64               `json:"created_ns"`
-	Ranks     int                 `json:"ranks"`          // job size
-	GotRanks  []int               `json:"got_ranks"`      // ranks whose evidence arrived
-	Missing   []int               `json:"missing_ranks"`  // ranks that timed out
+	Ranks     int                 `json:"ranks"`         // job size
+	GotRanks  []int               `json:"got_ranks"`     // ranks whose evidence arrived
+	Missing   []int               `json:"missing_ranks"` // ranks that timed out
 	Trigger   Trigger             `json:"trigger"`
 	Clocks    []Clock             `json:"clocks"`
 	Entries   map[string][]string `json:"entries"` // "rank-N" → sorted file list

@@ -30,15 +30,15 @@ const (
 // Meta is a rank's meta.json: capture-time clocks (wall for cross-rank
 // alignment, monotonic-since-start for skew correction) and runtime vitals.
 type Meta struct {
-	Rank         int    `json:"rank"`
-	WallNs       int64  `json:"wall_ns"`
-	MonoNs       int64  `json:"mono_ns"`
-	Trigger      Trigger `json:"trigger"`
-	GoVersion    string `json:"go_version"`
-	NumGoroutine int    `json:"num_goroutine"`
-	NumCPU       int    `json:"num_cpu"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	CPUProfileMs int64  `json:"cpu_profile_ms"` // live CPU window actually used (0 = skipped)
+	Rank         int      `json:"rank"`
+	WallNs       int64    `json:"wall_ns"`
+	MonoNs       int64    `json:"mono_ns"`
+	Trigger      Trigger  `json:"trigger"`
+	GoVersion    string   `json:"go_version"`
+	NumGoroutine int      `json:"num_goroutine"`
+	NumCPU       int      `json:"num_cpu"`
+	GOMAXPROCS   int      `json:"gomaxprocs"`
+	CPUProfileMs int64    `json:"cpu_profile_ms"` // live CPU window actually used (0 = skipped)
 	Errors       []string `json:"errors,omitempty"`
 }
 

@@ -291,6 +291,10 @@ type Provider struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
+	// bell is the arrival doorbell (fabric.Doorbell), rung after every
+	// handled burst, by a reader goroutine or inline by a poller.
+	bell chan struct{}
+
 	sendFrames     atomic.Int64
 	sendBytes      atomic.Int64
 	polls          atomic.Int64
@@ -324,6 +328,7 @@ type Provider struct {
 
 var _ fabric.Provider = (*Provider)(nil)
 var _ fabric.Sharder = (*Provider)(nil)
+var _ fabric.Doorbell = (*Provider)(nil)
 
 // ringSet is the provider's delivery side: one ring per progress shard and
 // the route that picks a completed message's ring. Immutable — ShardViews
@@ -422,6 +427,7 @@ func New(cfg Config) (*Provider, error) {
 		tr:            cfg.Tracer,
 		stallRTOs:     cfg.StallRTOs,
 		creditStallTO: cfg.CreditStallTimeout,
+		bell:          make(chan struct{}, 1),
 	}
 	if p.tr == nil {
 		p.tr = tracing.Default()
@@ -1235,6 +1241,9 @@ func (p *Provider) reader(s *readerShard) {
 // handleBurst runs the reliability protocol on the first n datagrams of a
 // burst read from shard s — by its reader goroutine or inline by a poller —
 // re-splitting GRO super-datagrams, and returns the wire datagrams handled.
+// It then rings the arrival doorbell. Acks ring it too: they open the
+// window and return credit, which a consumer blocked on back-pressure (a
+// fragment pump, a refused send) is waiting for.
 func (p *Provider) handleBurst(s *readerShard, rb *rxBatch, n int) int {
 	handled := 0
 	for i := 0; i < n; i++ {
@@ -1257,8 +1266,18 @@ func (p *Provider) handleBurst(s *readerShard, rb *rxBatch, n int) int {
 		}
 	}
 	s.rx.Add(int64(handled))
+	if handled > 0 {
+		fabric.RingBell(p.bell)
+	}
 	return handled
 }
+
+// Arrivals implements fabric.Doorbell: it is rung after every handled
+// burst of datagrams.
+func (p *Provider) Arrivals() <-chan struct{} { return p.bell }
+
+// Ring implements fabric.Doorbell.
+func (p *Provider) Ring() { fabric.RingBell(p.bell) }
 
 // readShard pulls a burst of datagrams off one shard socket (recvmmsg when
 // available, one ReadFrom otherwise), honoring the read deadline either way.

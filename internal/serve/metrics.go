@@ -15,6 +15,7 @@ import (
 //	lci_serve_subqueries_total            adjacency batches scattered
 //	lci_serve_served_total                adjacency batches answered here
 //	lci_serve_bad_replies_total           adjacency replies dropped as malformed
+//	lci_serve_parks_total                 idle loop iterations parked on the doorbell
 //	lci_serve_inflight                    queries currently resident (gauge)
 type metrics struct {
 	ok      map[uint8]*telemetry.Counter
@@ -27,6 +28,7 @@ type metrics struct {
 	subqueries  *telemetry.Counter
 	served      *telemetry.Counter
 	badReplies  *telemetry.Counter
+	parks       *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry, inflight func() int64) *metrics {
@@ -48,6 +50,7 @@ func newMetrics(reg *telemetry.Registry, inflight func() int64) *metrics {
 	m.subqueries = reg.Counter("lci_serve_subqueries_total")
 	m.served = reg.Counter("lci_serve_served_total")
 	m.badReplies = reg.Counter("lci_serve_bad_replies_total")
+	m.parks = reg.Counter("lci_serve_parks_total")
 	reg.GaugeFunc("lci_serve_inflight", telemetry.AggSum, inflight)
 	return m
 }

@@ -165,9 +165,19 @@ func TestOracleAnswers(t *testing.T) {
 func serveJob(t *testing.T, provs []fabric.Provider, pt *partition.Partitioned,
 	cfg Config, client func(addr string, s0 *Server)) {
 	t.Helper()
+	runJob(t, provs, pt, func(int) Config { return cfg }, func(addr string, ss []*Server) {
+		client(addr, ss[0])
+	})
+}
+
+// runJob is serveJob with a per-rank Config, handing client every rank's
+// server (indexed by rank).
+func runJob(t *testing.T, provs []fabric.Provider, pt *partition.Partitioned,
+	cfg func(rank int) Config, client func(addr string, ss []*Server)) {
+	t.Helper()
 	p := len(provs)
 	ready := make(chan string)
-	var s0 *Server
+	made := make(chan *Server, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -175,7 +185,8 @@ func serveJob(t *testing.T, provs []fabric.Provider, pt *partition.Partitioned,
 			defer wg.Done()
 			layer := comm.NewLCILayer(provs[r], bench.LCIOptions(p, 2))
 			cluster.RunRank(r, p, 1, layer, func(h *cluster.Host) {
-				s := New(h, pt, cfg)
+				s := New(h, pt, cfg(r))
+				made <- s
 				if r == 0 {
 					ln, err := net.Listen("tcp", "127.0.0.1:0")
 					if err != nil {
@@ -183,7 +194,6 @@ func serveJob(t *testing.T, provs []fabric.Provider, pt *partition.Partitioned,
 						return
 					}
 					fe := ServeClients(ln, s)
-					s0 = s
 					ready <- ln.Addr().String()
 					s.Run()
 					fe.Close()
@@ -194,7 +204,12 @@ func serveJob(t *testing.T, provs []fabric.Provider, pt *partition.Partitioned,
 		}(r)
 	}
 	addr := <-ready
-	client(addr, s0)
+	ss := make([]*Server, p)
+	for range ss {
+		s := <-made
+		ss[s.h.Rank] = s
+	}
+	client(addr, ss)
 	wg.Wait()
 }
 
@@ -478,5 +493,106 @@ func TestSoakHarness(t *testing.T) {
 			t.Fatal("thresholds must not be enforced at GOMAXPROCS=1")
 		}
 		t.Log(rep.Table())
+	})
+}
+
+// TestServeParkedLoopsDrain: over the sim fabric, whose doorbell lets the
+// serving loops park when an iteration finds no work, every admitted query
+// is answered exactly once, both loops then park while idle, and
+// InitiateDrain still ends the job: the parked coordinator wakes, and its
+// stop control wakes the parked worker.
+func TestServeParkedLoopsDrain(t *testing.T) {
+	const p = 2
+	fab := fabric.New(p, fabric.TestProfile())
+	feps := make([]fabric.Provider, p)
+	regs := make([]*telemetry.Registry, p)
+	for r := range feps {
+		feps[r] = fab.Endpoint(r)
+		regs[r] = telemetry.NewEnabled(0)
+	}
+	g := graph.Named("web", 7, 42)
+	pt := partition.Build(g, p, partition.EdgeCut)
+	oracle := NewOracle(g, Config{})
+	parks := func(r int) int64 { return regs[r].Counter("lci_serve_parks_total").Value() }
+
+	cfg := func(r int) Config { return Config{MaxInFlight: 128, MaxPerClient: 128, Reg: regs[r]} }
+	runJob(t, feps, pt, cfg, func(addr string, ss []*Server) {
+		for r, s := range ss {
+			if s.bell == nil {
+				t.Errorf("rank %d: the sim layer exposes no doorbell; loops would not park", r)
+			}
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			ss[0].InitiateDrain()
+			return
+		}
+		defer conn.Close()
+
+		rng := rand.New(rand.NewSource(5))
+		queries := map[uint32]Query{}
+		for reqid := uint32(1); reqid <= 30; reqid++ {
+			q := randomQuery(rng, uint32(g.N))
+			queries[reqid] = q
+			if err := WriteRequest(conn, reqid, q); err != nil {
+				t.Error(err)
+				ss[0].InitiateDrain()
+				return
+			}
+		}
+		br := bufio.NewReader(conn)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Minute))
+		got := map[uint32]bool{}
+		for len(got) < len(queries) {
+			rid, status, payload, err := ReadResponse(br)
+			if err != nil {
+				t.Errorf("read after %d responses: %v", len(got), err)
+				ss[0].InitiateDrain()
+				return
+			}
+			q, mine := queries[rid]
+			switch {
+			case !mine:
+				t.Fatalf("unsolicited response for reqid %d", rid)
+			case got[rid]:
+				t.Fatalf("duplicate response for reqid %d", rid)
+			case status != StatusOK:
+				t.Fatalf("reqid %d (%s %d %d): status %d", rid, OpName(q.Op), q.A, q.B, status)
+			}
+			want, _ := oracle.Answer(q)
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("reqid %d (%s %d %d): result differs from oracle", rid, OpName(q.Op), q.A, q.B)
+			}
+			got[rid] = true
+		}
+		var answered int64
+		for _, op := range []uint8{OpKHop, OpDist, OpPPR} {
+			answered += regs[0].Counter(fmt.Sprintf(`lci_serve_queries_total{op=%q,status="ok"}`, OpName(op))).Value()
+		}
+		if answered != int64(len(queries)) {
+			t.Fatalf("coordinator counted %d answered queries, client got %d", answered, len(queries))
+		}
+
+		// Both loops keep parking while idle (each backstop wake parks
+		// again); wait until each has parked since the last answer.
+		base := []int64{parks(0), parks(1)}
+		deadline := time.Now().Add(30 * time.Second)
+		for r := 0; r < p; r++ {
+			for parks(r) <= base[r] {
+				if time.Now().After(deadline) {
+					t.Errorf("rank %d never parked while idle", r)
+					ss[0].InitiateDrain()
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		ss[0].InitiateDrain()
+		late := map[uint32]response{}
+		readAll(t, conn, late)
+		if len(late) != 0 {
+			t.Fatalf("%d responses after drain with nothing pending", len(late))
+		}
 	})
 }

@@ -128,6 +128,10 @@ type Server struct {
 
 	incoming chan request
 	done     chan struct{} // closed when the loop exits
+	wake     chan struct{} // one slot: InitiateDrain wakes a parked coordinator
+	// bell is the layer's arrival doorbell (comm.Doorbell); nil keeps the
+	// loops on lci.IdleBackoff.
+	bell <-chan struct{}
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -158,8 +162,12 @@ func New(h *cluster.Host, pt *partition.Partitioned, cfg Config) *Server {
 		layer:    al,
 		incoming: make(chan request, 256),
 		done:     make(chan struct{}),
+		wake:     make(chan struct{}, 1),
 		queries:  map[uint32]*pending{},
 		cache:    newLRU(cfg.CacheSize),
+	}
+	if d, ok := h.Layer.(comm.Doorbell); ok {
+		s.bell = d.Arrivals()
 	}
 	s.met = newMetrics(cfg.Reg, s.inflight.Load)
 	return s
@@ -169,7 +177,13 @@ func New(h *cluster.Host, pt *partition.Partitioned, cfg Config) *Server {
 // ones run to completion, then the coordinator stops the worker ranks. Safe
 // from any goroutine (signal handlers, tests). On worker ranks it is a
 // no-op — the stop control arrives from the coordinator.
-func (s *Server) InitiateDrain() { s.draining.Store(true) }
+func (s *Server) InitiateDrain() {
+	s.draining.Store(true)
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
 
 // Done is closed when this rank's serving loop has exited.
 func (s *Server) Done() <-chan struct{} { return s.done }
@@ -185,10 +199,66 @@ func (s *Server) Run() {
 	}
 }
 
+// parkBackstop bounds how long an idle serving loop stays parked with no
+// doorbell ring, client request or drain wake-up. Nothing should need it:
+// every arrival rings the doorbell. It keeps Health.Pump on cadence and
+// bounds the cost of a ring the loop did not see.
+const parkBackstop = 5 * time.Millisecond
+
+// idler is how a serving loop waits once an iteration found no work. With
+// the layer's doorbell it parks at once in one select on the doorbell, the
+// loop's other wake-ups and a backstop timer; without one it keeps
+// lci.IdleBackoff (yields, then ~1 ms sleeps).
+type idler struct {
+	bell  <-chan struct{}
+	timer *time.Timer
+	parks *telemetry.Counter
+	idle  int // IdleBackoff streak, used only without a doorbell
+}
+
+func (s *Server) newIdler() *idler {
+	t := time.NewTimer(parkBackstop)
+	t.Stop()
+	return &idler{bell: s.bell, timer: t, parks: s.met.parks}
+}
+
+// wait is called at the end of each loop iteration. If the iteration did no
+// work it blocks until the doorbell rings, the backstop fires, or a request
+// (nil channels never fire) arrives on incoming or wake; a request taken
+// from incoming is returned for the caller to handle.
+func (w *idler) wait(worked bool, incoming <-chan request, wake <-chan struct{}) (request, bool) {
+	if w.bell == nil {
+		w.idle = lci.IdleBackoff(w.idle, worked)
+		return request{}, false
+	}
+	if worked {
+		return request{}, false
+	}
+	w.parks.Inc()
+	w.timer.Reset(parkBackstop)
+	var r request
+	got := false
+	select {
+	case <-w.bell:
+	case r = <-incoming:
+		got = true
+	case <-wake:
+	case <-w.timer.C:
+	}
+	// Stop, and drop a fire that raced the wake-up, so the next Reset
+	// starts clean.
+	w.timer.Stop()
+	select {
+	case <-w.timer.C:
+	default:
+	}
+	return r, got
+}
+
 // runCoordinator is rank 0's loop: admit client queries, scatter adjacency
 // sub-queries, absorb replies, advance machines, respond.
 func (s *Server) runCoordinator() {
-	idle := 0
+	w := s.newIdler()
 	for {
 		if s.cfg.Health != nil {
 			s.cfg.Health.Pump()
@@ -238,14 +308,16 @@ func (s *Server) runCoordinator() {
 			}
 			return
 		}
-		idle = lci.IdleBackoff(idle, worked)
+		if r, ok := w.wait(worked, s.incoming, s.wake); ok {
+			s.handle(r)
+		}
 	}
 }
 
 // runWorker is a non-coordinator rank's loop: answer adjacency sub-queries
 // until the coordinator says stop.
 func (s *Server) runWorker() {
-	idle := 0
+	w := s.newIdler()
 	for {
 		if s.cfg.Health != nil {
 			s.cfg.Health.Pump()
@@ -263,7 +335,7 @@ func (s *Server) runWorker() {
 			m.Release()
 			return
 		}
-		idle = lci.IdleBackoff(idle, worked)
+		w.wait(worked, nil, nil)
 	}
 }
 
