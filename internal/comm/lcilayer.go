@@ -13,18 +13,14 @@ import (
 // runs a pass itself when its receive waits find RECV-DEQ empty. On top of
 // the port it keeps only its receive discipline: epochs and a per-tag stash
 // for Exchange and fused sends, and fixed-epoch reserved tags for
-// PostTag/RecvTag. It exposes the provider's doorbell (Doorbell), so an
-// idle owner can park instead of polling.
+// PostTag/RecvTag. It exposes the port's doorbell (Doorbell), so an idle
+// owner can park instead of polling.
 type LCILayer struct {
 	lciPort
 	rank int
 
 	epochs epochs
 	stash  stash
-
-	// bell is the provider's arrival doorbell (fabric.Doorbell), nil when
-	// it has none.
-	bell <-chan struct{}
 }
 
 // NewLCILayer builds the LCI layer over a fabric provider and starts its
@@ -36,9 +32,6 @@ func NewLCILayer(fep fabric.Provider, opt lci.Options) *LCILayer {
 		stash:  stash{},
 	}
 	l.start(fep, opt, l.stash.put)
-	if d, ok := fep.(fabric.Doorbell); ok {
-		l.bell = d.Arrivals()
-	}
 	return l
 }
 

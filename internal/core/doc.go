@@ -17,7 +17,9 @@
 //     network and runs the per-packet-type callback. A dedicated server
 //     goroutine calls it in a loop (Serve), and any other goroutine may call
 //     it too: a per-endpoint lock serializes the passes, and a caller that
-//     finds it held returns at once.
+//     finds it held returns at once. On a provider whose doorbell covers
+//     every event (fabric.Parker, the simulated fabric) an idle server
+//     parks on that doorbell instead of polling.
 //
 // Completion is a single atomic flag on the Request: callers poll
 // Request.Done(), which is one atomic load — not a function call that, like

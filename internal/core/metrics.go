@@ -26,6 +26,7 @@ const (
 
 	MetricPollsBusy = `lci_core_progress_polls_total{state="busy"}`
 	MetricPollsIdle = `lci_core_progress_polls_total{state="idle"}`
+	MetricParks     = "lci_core_progress_parks_total"
 
 	MetricPoolFree     = "lci_core_pool_free"
 	MetricPoolCapacity = "lci_core_pool_capacity"
@@ -52,6 +53,7 @@ type coreMetrics struct {
 	rxEGR, rxRTS, rxRTR, rxFRG, rxPutDone *telemetry.Counter
 	txRTR, txFRG                          *telemetry.Counter
 	busy, idle                            *telemetry.Counter
+	parks                                 *telemetry.Counter
 	progressIter                          *telemetry.Histogram
 	eagerLat                              *telemetry.Histogram
 
@@ -129,6 +131,7 @@ func (e *Endpoint) initMetrics(reg *telemetry.Registry) {
 		txFRG:        reg.Counter(n(MetricTxFRG)),
 		busy:         reg.Counter(n(MetricPollsBusy)),
 		idle:         reg.Counter(n(MetricPollsIdle)),
+		parks:        reg.Counter(n(MetricParks)),
 		progressIter: reg.Histogram(n(MetricProgressIterNS)),
 		eagerLat:     reg.Histogram(n(MetricEagerLatencyNS)),
 	}

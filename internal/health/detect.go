@@ -113,9 +113,12 @@ func (m *Monitor) detectLocal(now time.Time, snap *telemetry.Snapshot, dt float6
 }
 
 // detectProgress scores each progress shard: a shard that has polled before
-// and advances by zero across a whole tick is wedged — the Serve loop polls
-// unconditionally even when idle, so zero delta can only mean the goroutine
-// is stuck (precisely what LCI_INJECT_STALL fabricates for CI).
+// and advances by zero across a whole tick is wedged — an idle Serve loop
+// still polls at least once per backstop (a server parked on a doorbell
+// wakes after about 1 ms and publishes its tallies before it parks again;
+// one that backs off sleeps about 1 ms between polls), so zero delta can
+// only mean the goroutine is stuck (precisely what LCI_INJECT_STALL
+// fabricates for CI).
 func (m *Monitor) detectProgress(now time.Time, snap *telemetry.Snapshot, dt float64) {
 	cur := map[int]int64{}
 	for name, v := range snap.Counters {

@@ -379,3 +379,77 @@ func TestNilMonitorSafe(t *testing.T) {
 	m.ServeJSON(httptest.NewRecorder(), nil)
 	m.Close()
 }
+
+// servedSimRank runs one sim rank's progress server until the test ends and
+// returns its registry.
+func servedSimRank(t *testing.T) *telemetry.Registry {
+	reg := telemetry.NewEnabled(0)
+	s := lci.NewSharded(fabric.New(1, fabric.TestProfile()).Endpoint(0), lci.Options{Telemetry: reg})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Serve(stop)
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	return reg
+}
+
+// polls is a single-shard rank's published progress poll count.
+func polls(reg *telemetry.Registry) int64 {
+	return reg.Counter(lci.MetricPollsBusy).Value() + reg.Counter(lci.MetricPollsIdle).Value()
+}
+
+// TestParkedServerNoFalseStall: an idle sim rank's server parks on the
+// fabric's doorbell, but still passes at least once per backstop and
+// publishes its poll tallies before it parks, so ticks raise no
+// progress_stall. With LCI_INJECT_STALL the wedged shard still raises one.
+// Ticks follow the server's park counter, not the wall clock.
+func TestParkedServerNoFalseStall(t *testing.T) {
+	t.Run("idle", func(t *testing.T) {
+		reg := servedSimRank(t)
+		m := New(Options{Rank: 0, Ranks: 1, Reg: reg})
+		defer m.Close()
+		parks := reg.Counter(lci.MetricParks)
+		now := time.Unix(1000, 0)
+		var last int64
+		for tick := 0; tick < 2+2*m.opt.SLO.EnterTicks; tick++ {
+			// Two more parks: the server woke, passed and published its
+			// tallies before it parked again.
+			for p := parks.Value(); parks.Value() < p+2; {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if n := polls(reg); n <= last {
+				t.Fatalf("tick %d: poll counter %d did not advance past %d", tick, n, last)
+			} else {
+				last = n
+			}
+			now = now.Add(time.Second)
+			tickAt(m, now)
+		}
+		if m.FiredTotal() != 0 || len(m.ActiveAlerts()) != 0 {
+			t.Fatalf("parked idle server raised alerts: %+v", m.ActiveAlerts())
+		}
+	})
+	t.Run("inject-stall", func(t *testing.T) {
+		t.Setenv(lci.EnvInjectStall, "0:50ms:1h")
+		reg := servedSimRank(t)
+		m := New(Options{Rank: 0, Ranks: 1, Reg: reg})
+		defer m.Close()
+		for polls(reg) == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		now := time.Unix(1000, 0)
+		for m.FiredTotal() == 0 {
+			time.Sleep(5 * time.Millisecond)
+			now = now.Add(time.Second)
+			tickAt(m, now)
+		}
+		alerts := m.ActiveAlerts()
+		if len(alerts) != 1 || alerts[0].Name != AlertProgressStall || alerts[0].Shard != 0 {
+			t.Fatalf("alerts = %+v, want one progress_stall on shard 0", alerts)
+		}
+	})
+}
