@@ -8,6 +8,7 @@ import (
 	lci "lcigraph/internal/core"
 	"lcigraph/internal/fabric"
 	"lcigraph/internal/mpi"
+	"lcigraph/internal/netfabric"
 )
 
 func makeStreams(t testing.TB, kind string, p int) ([]Stream, func()) {
@@ -171,5 +172,35 @@ func TestStreamTrackerAccounting(t *testing.T) {
 		if _, ok := streams[0].RecvMsg(); !ok { // reaps pending sends
 			runtime.Gosched()
 		}
+	}
+}
+
+// TestLCIStreamDoorbell: an LCIStream offers a doorbell only where its
+// server parks (the simulated fabric), so over netfabric, whose server
+// polls, Gemini's receive loop keeps yielding. The layer keeps its doorbell
+// on both.
+func TestLCIStreamDoorbell(t *testing.T) {
+	fab := fabric.New(1, fabric.TestProfile())
+	s := NewLCIStream(fab.Endpoint(0), lci.Options{})
+	defer s.Stop()
+	if s.Arrivals() == nil {
+		t.Error("sim stream: no doorbell")
+	}
+	provs, err := netfabric.NewLoopbackGroup(2, netfabric.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range provs {
+		defer pr.Close()
+	}
+	u := NewLCIStream(provs[0], lci.Options{})
+	defer u.Stop()
+	if u.Arrivals() != nil {
+		t.Error("udp stream: doorbell, want nil")
+	}
+	l := NewLCILayer(provs[1], lci.Options{})
+	defer l.Stop()
+	if l.Arrivals() == nil {
+		t.Error("udp layer: no doorbell")
 	}
 }
