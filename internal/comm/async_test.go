@@ -150,9 +150,10 @@ func TestAsyncInterleavesWithExchange(t *testing.T) {
 // TestAsyncConservation: both ranks post and receive on two reserved tags
 // at once, eager and rendezvous mixed, while extra goroutines call Progress
 // on every layer concurrently with its Serve goroutine and with the
-// owner's inline passes. Every message arrives exactly once and intact, and
-// after Stop no tracked byte and no fabric frame is left over, at one
-// progress shard and at four.
+// owner's inline passes. Every message arrives exactly once and intact —
+// checked byte by byte while the port's buffers recycle between sends and
+// receives — and after Stop no tracked byte and no fabric frame is left
+// over, at one progress shard and at four.
 func TestAsyncConservation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -215,47 +216,73 @@ func TestAsyncConservation(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					l, peer := layers[r], 1-r
+					var seen [2][perTag]bool
+					got := [2]int{}
+					// recv takes one message for tags[ti] if any is pending
+					// and checks it, payload byte by byte.
+					recv := func(ti int) bool {
+						tag := tags[ti]
+						m, ok := l.RecvTag(tag)
+						if !ok {
+							return false
+						}
+						seq := int(binary.LittleEndian.Uint32(m.Data))
+						switch {
+						case m.Peer != peer || seq >= perTag || len(m.Data) != size(seq):
+							t.Errorf("rank %d tag %d: bad message seq %d, %d bytes from %d",
+								r, tag, seq, len(m.Data), m.Peer)
+						case seen[ti][seq]:
+							t.Errorf("rank %d tag %d: duplicate seq %d", r, tag, seq)
+						default:
+							for i := 4; i < len(m.Data); i++ {
+								if m.Data[i] != byte(seq)^byte(tag) {
+									t.Errorf("rank %d tag %d: seq %d corrupt at byte %d", r, tag, seq, i)
+									break
+								}
+							}
+							seen[ti][seq] = true
+						}
+						m.Release()
+						got[ti]++
+						return true
+					}
+					// Sends and receives interleave, so buffers recycle
+					// through the cache mid-run: a completed send's buffer
+					// or a released rendezvous receive's becomes a later
+					// AllocBuf. Each must come back zeroed, and the
+					// payload checks above catch any reuse while in flight.
+					bufs := map[*byte]bool{}
 					for seq := 0; seq < perTag; seq++ {
-						for _, tag := range tags {
+						for ti, tag := range tags {
 							buf := l.AllocBuf(size(seq))
+							for i, x := range buf {
+								if x != 0 {
+									t.Errorf("rank %d: AllocBuf byte %d = %#x, want 0", r, i, x)
+									break
+								}
+							}
+							bufs[&buf[0]] = true
 							binary.LittleEndian.PutUint32(buf, uint32(seq))
 							for i := 4; i < len(buf); i++ {
 								buf[i] = byte(seq) ^ byte(tag)
 							}
 							l.PostTag(peer, tag, buf)
+							recv(ti)
 						}
 					}
+					if len(bufs) == 2*perTag {
+						t.Errorf("rank %d: no AllocBuf reused a recycled buffer", r)
+					}
 					deadline := time.Now().Add(10 * time.Second)
-					for _, tag := range tags {
-						seen := make([]bool, perTag)
-						for got := 0; got < perTag; {
-							m, ok := l.RecvTag(tag)
-							if !ok {
+					for ti, tag := range tags {
+						for got[ti] < perTag {
+							if !recv(ti) {
 								if time.Now().After(deadline) {
-									t.Errorf("rank %d tag %d: %d of %d messages", r, tag, got, perTag)
+									t.Errorf("rank %d tag %d: %d of %d messages", r, tag, got[ti], perTag)
 									return
 								}
 								runtime.Gosched()
-								continue
 							}
-							seq := int(binary.LittleEndian.Uint32(m.Data))
-							switch {
-							case m.Peer != peer || seq >= perTag || len(m.Data) != size(seq):
-								t.Errorf("rank %d tag %d: bad message seq %d, %d bytes from %d",
-									r, tag, seq, len(m.Data), m.Peer)
-							case seen[seq]:
-								t.Errorf("rank %d tag %d: duplicate seq %d", r, tag, seq)
-							default:
-								for i := 4; i < len(m.Data); i++ {
-									if m.Data[i] != byte(seq)^byte(tag) {
-										t.Errorf("rank %d tag %d: seq %d corrupt at byte %d", r, tag, seq, i)
-										break
-									}
-								}
-								seen[seq] = true
-							}
-							m.Release()
-							got++
 						}
 						if m, ok := l.RecvTag(tag); ok {
 							t.Errorf("rank %d tag %d: extra message from %d", r, tag, m.Peer)

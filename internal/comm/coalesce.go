@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lcigraph/internal/memtrack"
 	"lcigraph/internal/telemetry"
 )
 
@@ -105,11 +104,11 @@ type CoalesceStats struct {
 
 // emitFn ships one wire message (a plain message or a bundle tagged
 // coalFlag) to dst. done is called exactly once when the sender is finished
-// with data; a nil done means "free len(data) tracked bytes" — the common
-// case, kept nil so hot-path sends allocate no closure. block retries until
-// the send is accepted; a non-block emit returns false on back-pressure and
-// the message stays parked. drain lets a blocked emit pump the receive path
-// (only safe from the layer's protocol thread).
+// with data; a nil done means "return data to the port's buffer cache" —
+// the common case, kept nil so hot-path sends allocate no closure. block
+// retries until the send is accepted; a non-block emit returns false on
+// back-pressure and the message stays parked. drain lets a blocked emit pump
+// the receive path (only safe from the layer's protocol thread).
 type emitFn func(worker, dst int, tag uint32, data []byte, done func(), block, drain bool) bool
 
 // coalescer packs small per-destination messages into bundles.
@@ -123,19 +122,15 @@ type emitFn func(worker, dst int, tag uint32, data []byte, done func(), block, d
 type coalescer struct {
 	limit int // bundle payload cap: the fabric eager limit
 	emit  emitFn
-	// tracker is charged for the senders' buffers; a message absorbed by
-	// copy frees its tracked bytes (emitFn's nil-done convention).
-	tracker *memtrack.Tracker
-	off     atomic.Bool // pass-through mode (ablation knob)
+	// cache is the port's buffer cache. A message absorbed by copy goes back
+	// to it at once (emitFn's nil-done convention). Staging bundles come
+	// from it untracked — pool-like internals, like the LCI packet pool —
+	// and return when the fabric accepts them: a bundle is eager by
+	// construction, so the payload is copied on injection.
+	cache *bufCache
+	off   atomic.Bool // pass-through mode (ablation knob)
 
 	dests []coalDest
-
-	// Staging-buffer freelist. A bundle is eager by construction, so its
-	// buffer is reusable as soon as the fabric accepts it (the payload is
-	// copied on injection). Staging buffers are pool-like internals,
-	// untracked just like the LCI packet pool.
-	bufMu sync.Mutex
-	bufs  [][]byte
 
 	msgsCoalesced   atomic.Int64
 	coalescedFrames atomic.Int64
@@ -157,12 +152,12 @@ type coalDest struct {
 	nrec   int
 }
 
-func newCoalescer(hosts, limit int, emit emitFn, tracker *memtrack.Tracker) *coalescer {
+func newCoalescer(hosts, limit int, emit emitFn, cache *bufCache) *coalescer {
 	return &coalescer{
-		limit:   limit,
-		emit:    emit,
-		tracker: tracker,
-		dests:   make([]coalDest, hosts),
+		limit: limit,
+		emit:  emit,
+		cache: cache,
+		dests: make([]coalDest, hosts),
 	}
 }
 
@@ -198,7 +193,7 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 			if len(d.buf)+recHdr+len(data) <= c.limit {
 				d.buf = appendRecord(d.buf, tag, data)
 				d.nrec++
-				c.fireDone(done, len(data))
+				c.fireDone(done, data)
 				return
 			}
 			c.flushLocked(worker, d, dst, true, false)
@@ -209,9 +204,9 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 		case 2*recHdr+len(d.one.data)+len(data) <= c.limit:
 			// Second message for dst: open a bundle and absorb the parked
 			// single; the loop then appends the new message.
-			d.buf = c.getBuf()
+			d.buf = c.cache.get(c.limit)[:0]
 			d.buf = appendRecord(d.buf, d.one.tag, d.one.data)
-			c.fireDone(d.one.done, len(d.one.data))
+			c.fireDone(d.one.done, d.one.data)
 			d.one, d.hasOne = coalRec{}, false
 			d.nrec = 1
 		default:
@@ -222,13 +217,13 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 }
 
 // fireDone completes an absorbed-by-copy message: its bytes now live in the
-// staging bundle, so the caller's buffer is reusable.
-func (c *coalescer) fireDone(done func(), n int) {
+// staging bundle, so the caller's buffer goes back to the cache.
+func (c *coalescer) fireDone(done func(), data []byte) {
 	if done != nil {
 		done()
 		return
 	}
-	c.tracker.Free(n)
+	c.cache.Free(data)
 }
 
 // flushLocked ships whatever is parked for d (bundle or single). It returns
@@ -237,7 +232,7 @@ func (c *coalescer) fireDone(done func(), n int) {
 func (c *coalescer) flushLocked(worker int, d *coalDest, dst int, block, drain bool) bool {
 	if d.buf != nil {
 		buf, n := d.buf, d.nrec
-		if !c.emit(worker, dst, coalFlag, buf, func() { c.putBuf(buf) }, block, drain) {
+		if !c.emit(worker, dst, coalFlag, buf, func() { c.cache.put(buf) }, block, drain) {
 			return false
 		}
 		c.msgsCoalesced.Add(int64(n))
@@ -270,27 +265,4 @@ func (c *coalescer) flushAll(worker int, block, drain bool) {
 		c.flushLocked(worker, d, dst, block, drain)
 		d.mu.Unlock()
 	}
-}
-
-func (c *coalescer) getBuf() []byte {
-	c.bufMu.Lock()
-	if n := len(c.bufs); n > 0 {
-		b := c.bufs[n-1]
-		c.bufs[n-1] = nil
-		c.bufs = c.bufs[:n-1]
-		c.bufMu.Unlock()
-		return b[:0]
-	}
-	c.bufMu.Unlock()
-	return make([]byte, 0, c.limit)
-}
-
-// putBuf returns a staging buffer to the freelist; past its cap the buffer
-// is left to the garbage collector.
-func (c *coalescer) putBuf(b []byte) {
-	c.bufMu.Lock()
-	if len(c.bufs) < 2*len(c.dests)+2 {
-		c.bufs = append(c.bufs, b)
-	}
-	c.bufMu.Unlock()
 }

@@ -37,7 +37,12 @@ type Message struct {
 	ref     *bundleRef
 }
 
-// Release returns the message's buffer to the layer.
+// Release returns the message's buffer to the layer. Data is invalid from
+// then on: the LCI layers hand the buffer to a later send or receive, so a
+// consumer copies (or decodes) whatever it keeps before releasing. Keeping
+// an unreleased Message is fine — its buffer stays out of circulation until
+// Release. A second Release of the same Message does nothing; copies of a
+// Message share its buffer, so release only one of them.
 func (m *Message) Release() {
 	if m.ref != nil {
 		m.ref.dec()
@@ -58,11 +63,14 @@ func (m *Message) Release() {
 //     (BSP phases).
 //   - out[p] is the payload for peer p (nil ⇒ nothing to say; out[self]
 //     is ignored). The layer owns each non-nil buffer (allocated with
-//     AllocBuf) and frees it when the send completes.
+//     AllocBuf) from the call on and recycles it when the send completes,
+//     so the caller must not read or write it after Exchange.
 //   - expect[s] says whether peer s will send to us this phase (statically
 //     known from the partition's sync lists).
 //   - onRecv is called once per expected message, in arrival order, from
-//     the calling goroutine. The data slice is only valid during the call.
+//     the calling goroutine. The data slice is only valid during the call:
+//     the layer recycles its buffer once onRecv returns, so anything kept
+//     must be copied out.
 //
 // Exchange returns when all expected messages have been processed; sends
 // may still be draining (they are flushed by later calls or Stop).
@@ -70,7 +78,9 @@ type Layer interface {
 	Name() string
 	Exchange(tag uint32, out [][]byte, expect []bool, recvMax []int,
 		onRecv func(peer int, data []byte))
-	// AllocBuf returns a tracked buffer of n bytes for gather payloads.
+	// AllocBuf returns a tracked, zeroed buffer of n bytes for gather
+	// payloads. Its capacity may exceed n; the layer charges (and later
+	// frees) the capacity, whatever length the buffer is sent at.
 	AllocBuf(n int) []byte
 	// Tracker exposes this host's communication-buffer footprint counters.
 	Tracker() *memtrack.Tracker

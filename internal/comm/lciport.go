@@ -28,6 +28,9 @@ type lciPort struct {
 	// never contend on the same pool partition or queues.
 	ep      *lci.Sharded
 	tracker memtrack.Tracker
+	// cache recycles the port's gather, rendezvous and staging buffers
+	// (bufcache.go); it charges tracker.
+	cache bufCache
 
 	// workers maps compute-thread indices to pool worker ids; workers[0]
 	// doubles as the owner goroutine's (Exchange, flushes, Stop).
@@ -59,39 +62,37 @@ type lciPort struct {
 type sendInFlight struct {
 	req  *lci.Request
 	buf  []byte
-	done func() // completion action; defaults to freeing buf's tracked bytes
+	done func() // completion action; defaults to returning buf to the cache
 }
 
 // finish runs the in-flight send's completion action once its buffer is
 // reusable.
-func (s sendInFlight) finish(t *memtrack.Tracker) {
+func (s sendInFlight) finish(c *bufCache) {
 	if s.done != nil {
 		s.done()
 	} else {
-		t.Free(len(s.buf))
+		c.Free(s.buf)
 	}
 }
 
-// trackedAlloc adapts the port's memtracker as LCI's rendezvous allocator.
-type trackedAlloc struct{ t *memtrack.Tracker }
-
-func (a trackedAlloc) Alloc(n int) []byte { a.t.Alloc(n); return make([]byte, n) }
-func (a trackedAlloc) Free(b []byte)      { a.t.Free(len(b)) }
-
 // start builds the port in place over a fabric provider and starts its
-// communication server. Buffers recycle through the packet pool (eager) and
-// the tracked allocator (rendezvous), which is why the LCI footprint stays
-// small in Fig. 5.
+// communication server. Eager payloads travel in pooled packets and frames;
+// every other communication buffer — gather buffers from AllocBuf,
+// rendezvous receive buffers (the cache is the endpoint's Allocator) and
+// coalescer bundles — recycles through the port's bounded cache, which is
+// why the LCI footprint stays small in Fig. 5 and steady-state traffic
+// allocates no buffers.
 func (p *lciPort) start(fep fabric.Provider, opt lci.Options, deliver func(Message)) {
 	p.deliver = deliver
 	p.stop = make(chan struct{})
 	p.served = make(chan struct{})
-	opt.Allocator = trackedAlloc{&p.tracker}
+	p.cache.tracker = &p.tracker
+	opt.Allocator = &p.cache
 	p.ep = lci.NewSharded(fep, opt)
 	for i := range p.workers {
 		p.workers[i] = p.ep.RegisterWorker()
 	}
-	p.coal = newCoalescer(fep.Size(), p.ep.EagerLimit(), p.emit, &p.tracker)
+	p.coal = newCoalescer(fep.Size(), p.ep.EagerLimit(), p.emit, &p.cache)
 	p.met = newLayerMetrics(opt.Telemetry, p.Name())
 	p.met.tr = p.ep.Tracer() // endpoint already resolved opt.Tracer / default
 	p.coal.initTelemetry(p.met.reg)
@@ -117,15 +118,17 @@ func (p *lciPort) CoalesceStats() CoalesceStats { return p.coal.stats() }
 // Tracker implements Layer and Stream.
 func (p *lciPort) Tracker() *memtrack.Tracker { return &p.tracker }
 
-// AllocBuf implements Layer and Stream.
+// AllocBuf implements Layer and Stream. The buffer comes zeroed from the
+// port's cache (gathers OR bits into it) and is charged at its capacity.
 func (p *lciPort) AllocBuf(n int) []byte {
-	p.tracker.Alloc(n)
-	return make([]byte, n)
+	b := p.cache.Alloc(n)
+	clear(b)
+	return b
 }
 
 // emit is the port's one SEND-ENQ (and the coalescer's send hook): retry on
 // pool exhaustion, then in-flight bookkeeping. done runs when data is
-// reusable (nil means "free data's tracked bytes"). A non-block emit returns
+// reusable (nil means "return data to the cache"). A non-block emit returns
 // false on exhaustion instead of retrying. Every retry reaps completed
 // sends; drain additionally pumps receives, which only the receive owner
 // may do — compute threads must not touch the receive state.
@@ -137,7 +140,7 @@ func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), bl
 			p.met.observeSpins(spins)
 			p.met.recordSend(dst, len(data), r.MsgID, spins)
 			if r.Done() {
-				sendInFlight{buf: data, done: done}.finish(&p.tracker)
+				sendInFlight{buf: data, done: done}.finish(&p.cache)
 			} else {
 				p.sendMu.Lock()
 				p.pendingSend = append(p.pendingSend, sendInFlight{req: r, buf: data, done: done})
@@ -169,7 +172,7 @@ func (p *lciPort) reapSends() bool {
 	keep := p.pendingSend[:0]
 	for _, s := range p.pendingSend {
 		if s.req.Done() {
-			s.finish(&p.tracker)
+			s.finish(&p.cache)
 			worked = true
 		} else {
 			keep = append(keep, s)
@@ -234,7 +237,7 @@ func (p *lciPort) recvDeq() bool {
 }
 
 // complete converts a completed receive request into deliveries. Rendezvous
-// buffers were charged by the tracked allocator; eager payloads alias pooled
+// buffers came from the cache, already charged; eager payloads alias pooled
 // wire frames, charged while held and recycled to the fabric on release.
 // The protocol is told by size, as SEND-ENQ chose it: Done() after RECV-DEQ
 // cannot tell, since a rendezvous may land before the first check.
@@ -242,7 +245,8 @@ func (p *lciPort) recvDeq() bool {
 // frame; a malformed one is dropped whole and counted.
 func (p *lciPort) complete(r *lci.Request) {
 	n := len(r.Data)
-	if n <= p.ep.EagerLimit() {
+	eager := n <= p.ep.EagerLimit()
+	if eager {
 		p.tracker.Alloc(n)
 	}
 	p.met.recordRecv(r.Rank, n, r.MsgID)
@@ -250,13 +254,28 @@ func (p *lciPort) complete(r *lci.Request) {
 		Peer:    r.Rank,
 		Tag:     r.Tag,
 		Data:    r.Data,
-		release: func() { p.tracker.Free(n); r.Release() },
+		release: func() { p.releaseRecv(r, eager) },
 	}
 	if m.Tag&coalFlag == 0 {
 		p.deliver(m)
 	} else if !unpackBundle(m, p.deliver) {
 		p.met.badBundles.Inc()
 	}
+}
+
+// releaseRecv returns a received request's buffer: an eager payload's frame
+// to the fabric, a rendezvous buffer to the cache. It clears r.Data, so a
+// second call — a copy of the Message released again — finds a nil buffer,
+// which frees no bytes and which the cache does not park.
+func (p *lciPort) releaseRecv(r *lci.Request, eager bool) {
+	b := r.Data
+	r.Data = nil
+	if eager {
+		p.tracker.Free(len(b))
+		r.Release() // recycles the frame; a no-op the second time
+		return
+	}
+	p.cache.Free(b)
 }
 
 // drain is Stop's shutdown: it ships every parked message, waits until every

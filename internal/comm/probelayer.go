@@ -135,7 +135,7 @@ func (l *ProbeLayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax [
 		l.met.msgBytes.Observe(int64(len(buf)))
 		l.met.recordSend(p, len(buf), 0, 0)
 		l.inflight.Add(1)
-		l.sendq.Push(sendReq{dst: p, eff: eff, data: buf, track: len(buf)})
+		l.sendq.Push(sendReq{dst: p, eff: eff, data: buf, track: cap(buf)})
 	}
 	// Flush marker: don't let this phase's small messages wait for the
 	// aggregation timeout once we block on receives.

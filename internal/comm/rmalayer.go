@@ -190,7 +190,7 @@ func (l *RMALayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax []i
 	// until local completion), so they can be released now.
 	for p, data := range out {
 		if p != l.rank && data != nil {
-			l.tracker.Free(len(data))
+			l.tracker.Free(cap(data))
 		}
 	}
 

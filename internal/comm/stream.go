@@ -21,11 +21,13 @@ import (
 type Stream interface {
 	Name() string
 	// SendMsg sends data to peer with tag; safe from any compute thread.
-	// The stream owns data (allocated with AllocBuf) afterwards.
+	// The stream owns data (allocated with AllocBuf, possibly shortened)
+	// afterwards and may recycle it, so the caller must not touch it again.
 	SendMsg(thread, peer int, tag uint32, data []byte)
-	// RecvMsg returns one incoming message, if any. Single consumer.
+	// RecvMsg returns one incoming message, if any. Single consumer. The
+	// caller must Release it; see Message.Release for how long Data lives.
 	RecvMsg() (Message, bool)
-	// AllocBuf returns a tracked buffer.
+	// AllocBuf returns a tracked, zeroed buffer (see Layer.AllocBuf).
 	AllocBuf(n int) []byte
 	Tracker() *memtrack.Tracker
 	Stop()
@@ -212,7 +214,7 @@ func (s *MPIStream) SendMsg(thread, peer int, tag uint32, data []byte) {
 		panic("mpi stream: " + err.Error())
 	}
 	if done {
-		s.tracker.Free(len(data))
+		s.tracker.Free(cap(data))
 		return
 	}
 	s.mu.Lock()
@@ -230,7 +232,7 @@ func (s *MPIStream) reapSends() {
 			panic("mpi stream: " + err.Error())
 		}
 		if done {
-			s.tracker.Free(len(p.buf))
+			s.tracker.Free(cap(p.buf))
 		} else {
 			keep = append(keep, p)
 		}

@@ -100,6 +100,37 @@ func TestStreamRoundDeliversSignals(t *testing.T) {
 	}
 }
 
+// TestStreamRoundTrackerBalanced: a round whose signal batches end partial
+// (1000 signals a thread, 256 to a full batch) leaves no tracked bytes once
+// the stream stops: a batch shipped shortened is freed as it was charged.
+func TestStreamRoundTrackerBalanced(t *testing.T) {
+	g := graph.Complete(12)
+	const p = 2
+	pt := partition.Build(g, p, partition.EdgeCutByDst)
+	fab := fabric.New(p, fabric.TestProfile())
+	var left [p]int64
+	cluster.Run(p, 2, func(r int) comm.Layer { return dummyLayer{} },
+		func(h *cluster.Host) {
+			s := comm.NewLCIStream(fab.Endpoint(h.Rank), lci.Options{})
+			e := New(h, pt.Hosts[h.Rank], s, 0, func(a, b uint64) uint64 { return a + b })
+			e.StreamRound(
+				func(_ int, emit func(peer int, gdst uint32, val uint64)) {
+					for i := 0; i < 1000; i++ {
+						emit(1-h.Rank, 0, 1)
+					}
+				},
+				func(uint32, uint64) {})
+			h.Barrier()
+			s.Stop()
+			left[h.Rank] = s.Tracker().Current()
+		})
+	for r, n := range left {
+		if n != 0 {
+			t.Errorf("rank %d: %d tracked bytes after Stop", r, n)
+		}
+	}
+}
+
 // TestStreamRoundEmptyProduce: rounds with no signals terminate.
 func TestStreamRoundEmptyProduce(t *testing.T) {
 	g := graph.Ring(6)

@@ -53,6 +53,37 @@ type mmsgIO struct {
 	whdrs  []mmsghdr
 	wctrls [][]byte        // per-entry UDP_SEGMENT cmsg buffers for GSO trains
 	tiovs  []syscall.Iovec // scatter-gather iovecs for writeTrains, grown on demand
+
+	// The RawConn callbacks are bound once (newMmsgIO), so a poll or a
+	// burst hands RawConn a stored func instead of allocating a closure per
+	// call; each reports through the fields beside it. The read side
+	// belongs to the driver's one reading owner, the write side to wmu.
+	readFn  func(fd uintptr) bool // readBatch: recvmmsg, waiting on EAGAIN
+	pollFn  func(fd uintptr)      // pollBatch: one recvmmsg
+	rn      int
+	rerr    syscall.Errno
+	writeFn func(fd uintptr) bool // sendmmsg of whdrs[:wbatch]
+	wbatch  int
+	wn      int
+	werr    syscall.Errno
+}
+
+// newMmsgIO builds a driver over rc with its RawConn callbacks bound.
+func newMmsgIO(rc syscall.RawConn) *mmsgIO {
+	m := &mmsgIO{rc: rc}
+	m.readFn = func(fd uintptr) bool {
+		m.rn, m.rerr = m.recvmmsg(fd)
+		return m.rerr != syscall.EAGAIN && m.rerr != syscall.EINTR
+	}
+	m.pollFn = func(fd uintptr) { m.rn, m.rerr = m.recvmmsg(fd) }
+	m.writeFn = func(fd uintptr) bool {
+		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(m.wbatch),
+			syscall.MSG_DONTWAIT, 0, 0)
+		m.wn, m.werr = int(r), e
+		return e != syscall.EAGAIN && e != syscall.EINTR // else wait for writability
+	}
+	return m
 }
 
 // newBatchIO builds the vectored I/O driver, or returns nil when conn or the
@@ -66,7 +97,8 @@ func newBatchIO(conn net.PacketConn, peers []net.Addr) *mmsgIO {
 	if err != nil {
 		return nil
 	}
-	m := &mmsgIO{rc: rc, rsas: make([][]byte, len(peers))}
+	m := newMmsgIO(rc)
+	m.rsas = make([][]byte, len(peers))
 	for r, a := range peers {
 		if a == nil {
 			continue
@@ -101,7 +133,7 @@ func newReadIO(conn net.PacketConn) *mmsgIO {
 	if err != nil {
 		return nil
 	}
-	return &mmsgIO{rc: rc}
+	return newMmsgIO(rc)
 }
 
 // sockaddrBytes encodes a UDP address as a raw kernel sockaddr.
@@ -151,28 +183,16 @@ func (m *mmsgIO) bindRead(bufs [][]byte) {
 // size, kernel drop count). Returns errBatchUnsupported when the kernel
 // refuses the syscall so the caller can downgrade.
 func (m *mmsgIO) readBatch(sizes []int, cms []rxCmsg) (int, error) {
-	n := 0
-	var operr error
-	err := m.rc.Read(func(fd uintptr) bool {
-		r, e := m.recvmmsg(fd)
-		switch e {
-		case 0:
-			n = r
-		case syscall.EAGAIN, syscall.EINTR:
-			return false // wait for readability (respects the read deadline)
-		default:
-			operr = recvErr(e)
-		}
-		return true
-	})
-	if err != nil {
+	// readFn reports EAGAIN as "not done", so Read waits for readability
+	// (respecting the read deadline) and returns only on data or error.
+	if err := m.rc.Read(m.readFn); err != nil {
 		return 0, err // deadline exceeded or socket closed
 	}
-	if operr != nil {
-		return 0, operr
+	if m.rerr != 0 {
+		return 0, recvErr(m.rerr)
 	}
-	m.parseRead(n, sizes, cms)
-	return n, nil
+	m.parseRead(m.rn, sizes, cms)
+	return m.rn, nil
 }
 
 // pollBatch is readBatch's never-blocking twin for the progress path: one
@@ -182,26 +202,18 @@ func (m *mmsgIO) readBatch(sizes []int, cms []rxCmsg) (int, error) {
 // netpoller — the poller would queue behind it instead of draining the
 // socket. The caller must own m's buffers exclusively.
 func (m *mmsgIO) pollBatch(sizes []int, cms []rxCmsg) (int, error) {
-	n := 0
-	var operr error
-	err := m.rc.Control(func(fd uintptr) {
-		r, e := m.recvmmsg(fd)
-		switch e {
-		case 0:
-			n = r
-		case syscall.EAGAIN, syscall.EINTR:
-		default:
-			operr = recvErr(e)
-		}
-	})
-	if err != nil {
+	if err := m.rc.Control(m.pollFn); err != nil {
 		return 0, err // socket closed
 	}
-	if operr != nil {
-		return 0, operr
+	switch m.rerr {
+	case 0:
+	case syscall.EAGAIN, syscall.EINTR:
+		return 0, nil
+	default:
+		return 0, recvErr(m.rerr)
 	}
-	m.parseRead(n, sizes, cms)
-	return n, nil
+	m.parseRead(m.rn, sizes, cms)
+	return m.rn, nil
 }
 
 // recvmmsg issues one non-blocking recvmmsg into the bound read buffers.
@@ -266,35 +278,23 @@ func (m *mmsgIO) writeBatch(pkts [][]byte, dsts []int) error {
 			h.SetControllen(0)
 			m.whdrs[i].len = 0
 		}
-		sent := 0
-		var operr error
-		err := m.rc.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(batch),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch e {
-			case 0:
-				sent = int(r)
-			case syscall.EAGAIN, syscall.EINTR:
-				return false // wait for writability
-			case syscall.ENOSYS, syscall.EOPNOTSUPP:
-				operr = errBatchUnsupported
-			default:
-				operr = e
-			}
-			return true
-		})
+		m.wbatch = batch
+		err := m.rc.Write(m.writeFn)
 		runtime.KeepAlive(pkts)
 		if err != nil {
 			return err
 		}
-		if operr != nil {
-			return operr
+		switch m.werr {
+		case 0:
+		case syscall.ENOSYS, syscall.EOPNOTSUPP:
+			return errBatchUnsupported
+		default:
+			return m.werr
 		}
-		if sent <= 0 {
+		if m.wn <= 0 {
 			return errBatchUnsupported // zero progress: do not spin here
 		}
-		off += sent
+		off += m.wn
 	}
 	return nil
 }
@@ -349,36 +349,19 @@ func (m *mmsgIO) writeTrains(trains []gsoTrain) error {
 			m.whdrs[i].len = 0
 			base += len(tr.pkts)
 		}
-		sent := 0
-		var operr error
-		err := m.rc.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(batch),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch e {
-			case 0:
-				sent = int(r)
-			case syscall.EAGAIN, syscall.EINTR:
-				return false // wait for writability
-			default:
-				// EINVAL/EIO etc.: the kernel rejected a segment train —
-				// report it so the provider retires the GSO tier.
-				operr = errBatchUnsupported
-			}
-			return true
-		})
+		m.wbatch = batch
+		err := m.rc.Write(m.writeFn)
 		runtime.KeepAlive(trains)
 		runtime.KeepAlive(m.wctrls)
 		if err != nil {
 			return err
 		}
-		if operr != nil {
-			return operr
-		}
-		if sent <= 0 {
+		// EINVAL/EIO etc.: the kernel rejected a segment train — report it
+		// so the provider retires the GSO tier.
+		if m.werr != 0 || m.wn <= 0 {
 			return errBatchUnsupported
 		}
-		off += sent
+		off += m.wn
 	}
 	return nil
 }

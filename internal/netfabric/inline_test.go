@@ -251,3 +251,22 @@ func TestUnpolledProviderDrains(t *testing.T) {
 		f.Release()
 	}
 }
+
+// TestIdlePollAllocFree: an idle PollBatch — one recvmmsg that finds the
+// socket empty on every shard, plus the ack and transmit flushes it
+// triggers — allocates nothing, so a polling progress loop costs the
+// garbage collector nothing between messages.
+func TestIdlePollAllocFree(t *testing.T) {
+	if !batchIOAvailable {
+		t.Skip("no vectored I/O on this platform: receiving stays on the readers")
+	}
+	a, _ := pair(t, Config{})
+	buf := make([]*fabric.Frame, 8)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if n := a.PollBatch(buf); n != 0 {
+			t.Fatalf("idle provider received %d frames", n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("idle PollBatch allocated %.2f objects per call, want 0", allocs)
+	}
+}
