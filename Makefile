@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-datapath bench-netfabric bench-serving launch serve experiments examples clean
+.PHONY: all build vet test race bench launch serve experiments examples clean
 
 all: build vet test
 
@@ -18,21 +18,6 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# Regenerates the committed before/after report for the batched/pooled
-# data path (frame pooling + eager coalescing).
-bench-datapath:
-	go run ./cmd/experiments -datapath -datapath-out BENCH_datapath.json
-
-# Regenerates the committed transport comparison: the same LCI exchange
-# over the in-process simulator vs real loopback UDP sockets.
-bench-netfabric:
-	go run ./cmd/experiments -netfabric -netfabric-out BENCH_netfabric.json
-
-# Regenerates the committed serving soak report: 4 resident ranks over
-# loopback UDP, open-loop client load, best of 3 trials by p99.
-bench-serving:
-	go run ./cmd/lci-serve -n 4 -graph web -scale 12 -soak -qps 300 -duration 5s -repeat 3 -out BENCH_serving.json
 
 # Multi-process smoke run: 4 OS processes over loopback UDP.
 launch:

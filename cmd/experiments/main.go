@@ -33,10 +33,6 @@ func main() {
 	portability := flag.Bool("portability", false, "apps across omnipath/infiniband/sockets transports")
 	alltoall := flag.Bool("alltoall", false, "all-to-all message-rate microbenchmark")
 	threadScaling := flag.Bool("thread-scaling", false, "end-to-end thread-count sweep")
-	datapath := flag.Bool("datapath", false, "batched/pooled data path: allocs and frames per message, before vs after")
-	datapathOut := flag.String("datapath-out", "", "also write the datapath report JSON to this path")
-	netfab := flag.Bool("netfabric", false, "transport comparison: in-process simulator vs loopback UDP provider")
-	netfabOut := flag.String("netfabric-out", "", "also write the netfabric report JSON to this path")
 
 	shards := flag.Int("shards", 0,
 		"progress shards per rank (sets LCI_ENDPOINT_SHARDS for every in-process run; 0 = inherit env)")
@@ -103,34 +99,10 @@ func main() {
 	run(*threadScaling, "Thread scaling", func() string {
 		return bench.ThreadScaling(e, []int{1, 2, 4, 8})
 	})
-	run(*datapath, "Datapath", func() string {
-		r := bench.Datapath(0, 0, 0, 0)
-		if *datapathOut != "" {
-			if err := r.WriteJSON(*datapathOut); err != nil {
-				fmt.Fprintln(os.Stderr, "datapath-out:", err)
-				os.Exit(1)
-			}
-		}
-		return r.Table()
-	})
-	run(*netfab, "Netfabric", func() string {
-		r, err := bench.Netfabric(0, 0, 0, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "netfabric:", err)
-			os.Exit(1)
-		}
-		if *netfabOut != "" {
-			if err := r.WriteJSON(*netfabOut); err != nil {
-				fmt.Fprintln(os.Stderr, "netfabric-out:", err)
-				os.Exit(1)
-			}
-		}
-		return r.Table()
-	})
 	run(*ablations, "Ablations", func() string {
 		return bench.AblationFused(e) + "\n" + bench.AblationOrdering(e) + "\n" +
 			bench.AblationAggregation(e) + "\n" + bench.AblationAdaptive(e) + "\n" +
-			bench.AblationDirectionBFS(e) + "\n" + bench.AblationCoalescing(e) + "\n" +
+			bench.AblationDirectionBFS(e) + "\n" +
 			bench.AblationPoolLocality(4, *microIters)
 	})
 

@@ -15,14 +15,14 @@
 // Usage:
 //
 //	lci-serve -n 4 -graph web -scale 14                  # serve until ^C
-//	lci-serve -n 4 -scale 14 -soak -qps 300 -duration 10s -out BENCH_serving.json
-//	lci-serve -n 4 -loss 0.05 -soak -repeat 3            # lossy soak, best of 3
+//	lci-serve -n 4 -scale 14 -soak -qps 300 -duration 10s -out serving.json
+//	lci-serve -n 4 -loss 0.05 -soak                      # lossy soak
 //
 // In soak mode the parent doubles as the load generator: it drives
 // open-loop load at the target QPS (internal/serve's harness), scrapes the
 // result-cache counters from rank 0's live /metrics.json, enforces the p99
 // ceiling (skipped when GOMAXPROCS==1 — on one core the tail measures the
-// scheduler, not the runtime), writes BENCH_serving.json, and then drains
+// scheduler, not the runtime), writes the -out report, and then drains
 // the job: SIGTERM to rank 0 flips the coordinator into draining, resident
 // queries finish, workers get the stop control message, and every rank
 // exits through the cluster barrier.
@@ -87,7 +87,6 @@ type options struct {
 	qps      float64
 	conns    int
 	duration time.Duration
-	repeat   int
 	maxP99   time.Duration
 	out      string
 }
@@ -124,10 +123,9 @@ func parseFlags() *options {
 	flag.Float64Var(&o.qps, "qps", 200, "soak: target aggregate query rate")
 	flag.IntVar(&o.conns, "conns", 4, "soak: client connections")
 	flag.DurationVar(&o.duration, "duration", 5*time.Second, "soak: measured window")
-	flag.IntVar(&o.repeat, "repeat", 1, "soak: trials; the best (lowest p99) is reported")
 	flag.DurationVar(&o.maxP99, "max-p99", 250*time.Millisecond,
 		"soak: p99 latency ceiling (skipped when GOMAXPROCS==1)")
-	flag.StringVar(&o.out, "out", "", "soak: write the report JSON here (e.g. BENCH_serving.json)")
+	flag.StringVar(&o.out, "out", "", "soak: write the report JSON here")
 	flag.Parse()
 	return o
 }
@@ -252,43 +250,31 @@ func parent(o *options) int {
 	return code
 }
 
-// soak drives the load-generation trials against a started job and writes
-// the report. The job is still running when it returns; the caller drains.
+// soak drives open-loop load against a started job and writes the report.
+// The job is still running when it returns; the caller drains.
 func soak(o *options, j *launch.Job, addr string) int {
-	opt := serve.SoakOptions{
+	r, err := serve.RunSoak(serve.SoakOptions{
 		Addr:      addr,
 		Conns:     o.conns,
 		QPS:       o.qps,
 		Duration:  o.duration,
 		Seed:      o.seed,
 		MaxVertex: uint32(1) << o.scale,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lci-serve:", err)
+		return 1
 	}
-	var best serve.SoakReport
-	for trial := 0; trial < max(o.repeat, 1); trial++ {
-		opt.Seed = o.seed + int64(trial)
-		r, err := serve.RunSoak(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lci-serve:", err)
-			return 1
-		}
-		if trial == 0 || r.P99us < best.P99us {
-			best = r
-		}
-		if o.repeat > 1 {
-			fmt.Fprintf(os.Stderr, "lci-serve: trial %d/%d p99=%.0fµs shed=%.1f%%\n",
-				trial+1, o.repeat, r.P99us, 100*r.ShedRate)
-		}
-	}
-	best.CacheHitRatio = scrapeCacheRatio(j)
+	r.CacheHitRatio = scrapeCacheRatio(j)
 
 	code := 0
-	if err := best.CheckLatency(o.maxP99); err != nil {
+	if err := r.CheckLatency(o.maxP99); err != nil {
 		fmt.Fprintln(os.Stderr, "lci-serve:", err)
 		code = 1
 	}
-	fmt.Fprint(os.Stderr, best.Table())
+	fmt.Fprint(os.Stderr, r.Table())
 	if o.out != "" {
-		data, err := json.MarshalIndent(best, "", "  ")
+		data, err := json.MarshalIndent(r, "", "  ")
 		if err == nil {
 			err = launch.WriteFileAtomic(o.out, append(data, '\n'))
 		}

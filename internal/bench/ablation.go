@@ -63,31 +63,6 @@ func AblationAdaptive(e ExpConfig) string {
 	return b.String()
 }
 
-// AblationCoalescing measures the eager coalescer (DESIGN.md §8) on
-// Gemini's stream path, whose many small per-peer updates are its sweet
-// spot: wire frames drop while the per-message counters show how many
-// messages rode inside bundles.
-func AblationCoalescing(e ExpConfig) string {
-	g := e.inputs()["kron"]
-	p := e.Hosts[len(e.Hosts)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: eager coalescing on the Gemini/LCI stream path (sssp, kron, P=%d)\n", p)
-	for _, off := range []bool{true, false} {
-		cfg := Config{App: "sssp", Layer: LCI, Hosts: p, Threads: e.Threads,
-			Source: 1, NoCoalescing: off}
-		mean, res := meanOf(e.Repeats, func() *Result { return RunGemini(g, cfg) })
-		name := "coalescing"
-		if off {
-			name = "plain"
-		}
-		fmt.Fprintf(&b, "  %-11s total %12s  comm(max) %12s  frames %6d  bundled-msgs %6d  bundles %5d  recycled %6d\n",
-			name, mean.Round(time.Microsecond), res.MaxComm().Round(time.Microsecond),
-			res.Net.Frames, res.Net.MsgsCoalesced, res.Net.CoalescedFrames,
-			res.Net.FramesRecycled)
-	}
-	return b.String()
-}
-
 // AblationDirectionBFS compares plain push BFS against the
 // direction-optimizing variant on the dense-frontier kron input.
 func AblationDirectionBFS(e ExpConfig) string {

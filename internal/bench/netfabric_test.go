@@ -65,27 +65,3 @@ func TestUDPTransportMPI(t *testing.T) {
 		}
 	}
 }
-
-// TestNetfabricReport exercises the committed benchmark end to end at a
-// small size. The lossy variant needs enough datagrams that the 5%
-// injector dropping none of them is statistically impossible (at 4 msgs ×
-// 2 epochs the no-drop probability was ~44% and the retransmit assertion
-// flaked).
-func TestNetfabricReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r, err := Netfabric(2, 64, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sim.Messages == 0 || r.UDP.Messages == 0 || r.UDPLossy.Messages == 0 {
-		t.Fatalf("empty variant in report: %+v", r)
-	}
-	if r.UDPLossy.Retransmits == 0 {
-		t.Fatal("lossy variant recorded no retransmits")
-	}
-	if r.Table() == "" {
-		t.Fatal("empty table")
-	}
-}

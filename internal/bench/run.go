@@ -67,9 +67,6 @@ type Config struct {
 	// NoAggregation disables the probe layer's buffered network layer
 	// (ablation: the naive per-message baseline of §III-B).
 	NoAggregation bool
-	// NoCoalescing disables the LCI layers' eager coalescer (ablation:
-	// every small message pays its own wire frame; DESIGN.md §8).
-	NoCoalescing bool
 	// Adaptive enables Gemini's sparse/dense mode switching (bfs, cc and
 	// sssp on the Gemini engine only).
 	Adaptive bool
@@ -106,54 +103,25 @@ type NetStats struct {
 	PutBytes    int64
 	SendRetries int64 // back-pressure events
 
-	FramesRecycled  int64 // pooled frames returned to the fabric free-list
-	BatchPolls      int64 // batched ring drains that returned ≥1 frame
-	MsgsCoalesced   int64 // messages shipped inside multi-record bundles
-	CoalescedFrames int64 // multi-record bundles shipped
-
 	// Transport counters: zero on the in-process simulator, live on the
 	// UDP provider (internal/netfabric).
-	Retransmits   int64 // datagrams retransmitted after ack timeout
-	Drops         int64 // datagrams dropped (fault injection + stale dups)
-	Acks          int64 // standalone ack/credit datagrams sent
-	CreditStalls  int64 // sends refused for lack of receiver credit
-	SendBatches   int64 // multi-datagram sendmmsg bursts
-	RecvBatches   int64 // multi-datagram recvmmsg bursts
-	GSOSends      int64 // multi-segment UDP_SEGMENT trains handed to the kernel
-	GROCoalesced  int64 // coalesced super-datagrams received and re-split
-	SockDrops     int64 // kernel receive-queue drops (SO_RXQ_OVFL)
-	PiggybackAcks int64 // acks carried on outgoing DATA packets
-	DelayedAcks   int64 // standalone acks deferred to the delayed-ack tick
-	SockErrors    int64 // transient socket errors absorbed by readers
+	Retransmits int64 // datagrams retransmitted after ack timeout
+	Drops       int64 // datagrams dropped (fault injection + stale dups)
 }
 
 // NetStatsFromSnapshot derives the legacy NetStats view from a telemetry
 // snapshot: the counters live under their canonical registry names
-// (internal/fabric, internal/comm) and this is the only place that maps
+// (internal/fabric) and this is the only place that maps
 // them back onto the struct the tables and reports consume.
 func NetStatsFromSnapshot(s *telemetry.Snapshot) NetStats {
 	return NetStats{
-		Frames:          s.Counter(fabric.MetricSendFrames),
-		FrameBytes:      s.Counter(fabric.MetricSendBytes),
-		Puts:            s.Counter(fabric.MetricPuts),
-		PutBytes:        s.Counter(fabric.MetricPutBytes),
-		SendRetries:     s.Counter(fabric.MetricSendRetries) + s.Counter(fabric.MetricPutRetries),
-		FramesRecycled:  s.Counter(fabric.MetricFramesRecycled),
-		BatchPolls:      s.Counter(fabric.MetricBatchPolls),
-		MsgsCoalesced:   s.Counter(comm.MetricMsgsCoalesced),
-		CoalescedFrames: s.Counter(comm.MetricBundles),
-		Retransmits:     s.Counter(fabric.MetricRetransmits),
-		Drops:           s.Counter(fabric.MetricPacketsDropped),
-		Acks:            s.Counter(fabric.MetricAcksSent),
-		CreditStalls:    s.Counter(fabric.MetricCreditStalls),
-		SendBatches:     s.Counter(fabric.MetricSendBatches),
-		RecvBatches:     s.Counter(fabric.MetricRecvBatches),
-		GSOSends:        s.Counter(fabric.MetricGSOSends),
-		GROCoalesced:    s.Counter(fabric.MetricGROCoalesced),
-		SockDrops:       s.Counter(fabric.MetricSockDrops),
-		PiggybackAcks:   s.Counter(fabric.MetricPiggybackAcks),
-		DelayedAcks:     s.Counter(fabric.MetricDelayedAcks),
-		SockErrors:      s.Counter(fabric.MetricSockErrors),
+		Frames:      s.Counter(fabric.MetricSendFrames),
+		FrameBytes:  s.Counter(fabric.MetricSendBytes),
+		Puts:        s.Counter(fabric.MetricPuts),
+		PutBytes:    s.Counter(fabric.MetricPutBytes),
+		SendRetries: s.Counter(fabric.MetricSendRetries) + s.Counter(fabric.MetricPutRetries),
+		Retransmits: s.Counter(fabric.MetricRetransmits),
+		Drops:       s.Counter(fabric.MetricPacketsDropped),
 	}
 }
 
@@ -275,11 +243,7 @@ func RunAbelian(g *graph.Graph, cfg Config) *Result {
 		case LCI:
 			opt := LCIOptions(cfg.Hosts, cfg.Threads)
 			opt.Telemetry = regs[r]
-			l := comm.NewLCILayer(feps[r], opt)
-			if cfg.NoCoalescing {
-				l.SetCoalescing(false)
-			}
-			return l
+			return comm.NewLCILayer(feps[r], opt)
 		case MPIProbe:
 			pl := comm.NewProbeLayer(world.Comm(r))
 			pl.SetTelemetry(regs[r])
@@ -377,11 +341,7 @@ func RunGemini(g *graph.Graph, cfg Config) *Result {
 		case LCI:
 			opt := LCIOptions(cfg.Hosts, cfg.Threads)
 			opt.Telemetry = regs[r]
-			s := comm.NewLCIStream(feps[r], opt)
-			if cfg.NoCoalescing {
-				s.SetCoalescing(false)
-			}
-			return s
+			return comm.NewLCIStream(feps[r], opt)
 		case MPIProbe:
 			ms := comm.NewMPIStream(world.Comm(r))
 			ms.SetTelemetry(regs[r])

@@ -128,7 +128,6 @@ type coalescer struct {
 	// and return when the fabric accepts them: a bundle is eager by
 	// construction, so the payload is copied on injection.
 	cache *bufCache
-	off   atomic.Bool // pass-through mode (ablation knob)
 
 	dests []coalDest
 
@@ -161,10 +160,6 @@ func newCoalescer(hosts, limit int, emit emitFn, cache *bufCache) *coalescer {
 	}
 }
 
-// setEnabled toggles coalescing (pass-through when disabled). Call before
-// any traffic.
-func (c *coalescer) setEnabled(on bool) { c.off.Store(!on) }
-
 func (c *coalescer) stats() CoalesceStats {
 	return CoalesceStats{
 		MsgsCoalesced:   c.msgsCoalesced.Load(),
@@ -178,7 +173,7 @@ func (c *coalescer) stats() CoalesceStats {
 // block on fabric back-pressure (like a direct send would), but never on a
 // receive — it is safe from any compute thread.
 func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
-	if c.off.Load() || recHdr+len(data) > c.limit {
+	if recHdr+len(data) > c.limit {
 		// Pass-through: oversized messages ship alone (and may go
 		// rendezvous); bundling them would force an extra copy.
 		c.emit(worker, dst, tag, data, done, true, false)

@@ -3,7 +3,6 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -292,48 +291,6 @@ func TestStreamCoalescing(t *testing.T) {
 	}
 	snd.Stop()
 	rcv.Stop()
-	if n := fab.FramesOutstanding(); n != 0 {
-		t.Fatalf("%d frames still outstanding", n)
-	}
-}
-
-// TestCoalescingDisabledPassThrough: the ablation knob must ship every
-// message unbundled with its original tag.
-func TestCoalescingDisabledPassThrough(t *testing.T) {
-	fab := fabric.New(2, fabric.TestProfile())
-	layers := [2]*LCILayer{
-		NewLCILayer(fab.Endpoint(0), lci.Options{}),
-		NewLCILayer(fab.Endpoint(1), lci.Options{}),
-	}
-	layers[0].SetCoalescing(false)
-	layers[1].SetCoalescing(false)
-
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			l := layers[r]
-			eff := l.BeginFused(5)
-			for i := 0; i < 20; i++ {
-				buf := l.AllocBuf(16)
-				copy(buf, fmt.Sprintf("msg-%d-%d", r, i))
-				l.SendFused(0, 1-r, eff, buf)
-			}
-			got := 0
-			l.FinishFusedCount(eff, 20, func(peer int, data []byte) { got++ })
-			if got != 20 {
-				t.Errorf("rank %d: received %d messages", r, got)
-			}
-		}(r)
-	}
-	wg.Wait()
-	for _, l := range layers {
-		if s := l.CoalesceStats(); s.CoalescedFrames != 0 {
-			t.Errorf("coalesced %d frames with coalescing disabled", s.CoalescedFrames)
-		}
-		l.Stop()
-	}
 	if n := fab.FramesOutstanding(); n != 0 {
 		t.Fatalf("%d frames still outstanding", n)
 	}

@@ -123,6 +123,17 @@ func (s stash) take(tag uint32) (Message, bool) {
 	return m, true
 }
 
+// done drops tag's key once its epoch has received every expected message.
+// Epoch tags are never reused until the epoch counter wraps, so without it a
+// long-lived layer keeps one empty slice per finished epoch. Async traffic's
+// fixed tag keeps its key: deleting there would allocate a fresh slice per
+// message.
+func (s stash) done(tag uint32) {
+	if len(s[tag]) == 0 {
+		delete(s, tag)
+	}
+}
+
 // countExpected returns the number of peers we must hear from.
 func countExpected(expect []bool, self int) int {
 	n := 0

@@ -343,3 +343,39 @@ func TestStash(t *testing.T) {
 		t.Fatal("tag-2 message lost")
 	}
 }
+
+// TestStashDropsFinishedEpochs: an Exchange that has received its expected
+// messages deletes its epoch's key from the stash, so a long-lived layer
+// does not grow one map entry per epoch.
+func TestStashDropsFinishedEpochs(t *testing.T) {
+	for _, kind := range []string{"lci", "mpi-probe"} {
+		layers, stop := makeLayers(t, kind, 2)
+		var wg sync.WaitGroup
+		for r, l := range layers {
+			wg.Add(1)
+			go func(r int, l Layer) {
+				defer wg.Done()
+				expect := []bool{true, true}
+				for i := 0; i < 100; i++ {
+					out := make([][]byte, 2)
+					out[1-r] = l.AllocBuf(8)
+					l.Exchange(7, out, expect, nil, func(int, []byte) {})
+				}
+			}(r, l)
+		}
+		wg.Wait()
+		stop()
+		for r, l := range layers {
+			var st stash
+			switch l := l.(type) {
+			case *LCILayer:
+				st = l.stash
+			case *ProbeLayer:
+				st = l.stash
+			}
+			if len(st) != 0 {
+				t.Errorf("%s rank %d: stash holds %d keys after 100 finished epochs", kind, r, len(st))
+			}
+		}
+	}
+}

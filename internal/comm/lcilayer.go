@@ -67,6 +67,7 @@ func (l *LCILayer) recvEpoch(eff uint32, want int, onRecv func(peer int, data []
 			runtime.Gosched()
 		}
 	}
+	l.stash.done(eff)
 }
 
 // BeginFused opens a fused exchange for tag: compute threads may then call

@@ -108,10 +108,6 @@ func (p *lciPort) Name() string { return "lci" }
 // Telemetry returns the port's metrics registry.
 func (p *lciPort) Telemetry() *telemetry.Registry { return p.met.reg }
 
-// SetCoalescing toggles send coalescing (ablation knob). Call before any
-// traffic.
-func (p *lciPort) SetCoalescing(on bool) { p.coal.setEnabled(on) }
-
 // CoalesceStats returns the coalescer counters.
 func (p *lciPort) CoalesceStats() CoalesceStats { return p.coal.stats() }
 

@@ -162,6 +162,7 @@ func (l *ProbeLayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax [
 		}
 		runtime.Gosched()
 	}
+	l.stash.done(eff)
 }
 
 // ---- communication thread ----

@@ -11,7 +11,7 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// TestTracingLossyUDPPairsMsgIDs runs a 2-rank exchange over real loopback
+// TestTracingLossyUDPPairsMsgIDs runs 2-rank fused epochs over real loopback
 // UDP with injected loss and checks the cross-rank correlation contract:
 // every message a rank received carries a msgid that the peer's SEND-ENQ
 // recorded, exactly once — retransmissions and duplicated datagrams must
@@ -32,7 +32,6 @@ func TestTracingLossyUDPPairsMsgIDs(t *testing.T) {
 	for r := 0; r < p; r++ {
 		trs[r] = tracing.New(r, 4096)
 		layers[r] = NewLCILayer(provs[r], lci.Options{Tracer: trs[r]})
-		layers[r].SetCoalescing(false) // one SEND-ENQ (and msgid) per message
 	}
 
 	payload := func(r, i int) []byte {
@@ -50,19 +49,20 @@ func TestTracingLossyUDPPairsMsgIDs(t *testing.T) {
 			defer wg.Done()
 			l := layers[r]
 			peer := 1 - r
-			eff := l.BeginFused(77)
+			// One message per peer per fused epoch: the coalescer ships a
+			// lone message plain, so each one gets its own SEND-ENQ (and
+			// msgid).
 			for i := 0; i < msgs; i++ {
+				eff := l.BeginFused(77)
 				buf := l.AllocBuf(48)
 				copy(buf, payload(r, i))
 				l.SendFused(0, peer, eff, buf)
+				l.FinishFusedCount(eff, 1, func(pr int, data []byte) {
+					if pr != peer || !bytes.Equal(data, payload(peer, i)) {
+						t.Errorf("rank %d: message %d corrupt or misordered from %d", r, i, pr)
+					}
+				})
 			}
-			got := 0
-			l.FinishFusedCount(eff, msgs, func(pr int, data []byte) {
-				if pr != peer || !bytes.Equal(data, payload(peer, got)) {
-					t.Errorf("rank %d: message %d corrupt or misordered from %d", r, got, pr)
-				}
-				got++
-			})
 		}(r)
 	}
 	wg.Wait()

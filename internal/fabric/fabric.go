@@ -67,7 +67,7 @@ type Frame struct {
 	Data   []byte // eager payload (KindSend); nil for KindPutDone
 
 	buf     []byte       // pooled wire buffer backing Data (cap = EagerLimit)
-	fab     *Fabric      // owning fabric; nil for unpooled frames
+	fab     *Fabric      // owning fabric; nil for hand-built frames
 	rep     *Endpoint    // receiving endpoint (recycle attribution)
 	recycle func(*Frame) // external-provider recycle hook (netfabric)
 	inUse   atomic.Bool  // double-release guard
@@ -75,7 +75,7 @@ type Frame struct {
 
 // Release returns a polled frame to its owner's free-list: the simulated
 // fabric's pool, or — for frames minted by an external Provider — that
-// provider's recycle hook. It is safe (and a no-op) on unpooled frames;
+// provider's recycle hook. It is safe (and a no-op) on hand-built frames;
 // releasing the same pooled frame twice panics. After Release the frame and
 // its Data must not be touched.
 func (f *Frame) Release() {
@@ -143,10 +143,6 @@ type Profile struct {
 	// this duration to a fraction of operations — failure/variance
 	// injection for robustness tests (congested or noisy networks).
 	Jitter time.Duration
-	// DisableFramePool reverts to per-message heap allocation of frames and
-	// wire buffers (the pre-pool behaviour). Kept as a benchmark knob so the
-	// allocation win is measurable in one binary.
-	DisableFramePool bool
 }
 
 // OmniPath models the Stampede2 Intel Omni-Path fabric (psm2): deep rings,
@@ -265,13 +261,7 @@ func New(n int, prof Profile) *Fabric {
 		prof.MaxRegions = 128
 	}
 	f := &Fabric{prof: prof, eps: make([]*Endpoint, n)}
-	if !prof.DisableFramePool {
-		cap := prof.RingDepth * n
-		if cap < 64 {
-			cap = 64
-		}
-		f.frames = concurrent.NewMPMC[*Frame](cap)
-	}
+	f.frames = concurrent.NewMPMC[*Frame](max(prof.RingDepth*n, 64))
 	for i := range f.eps {
 		e := &Endpoint{fab: f, rank: i, bell: make(chan struct{}, 1)}
 		e.rs.Store(&ringSet{
@@ -286,9 +276,6 @@ func New(n int, prof Profile) *Fabric {
 // getFrame takes a frame from the free-list, allocating on a miss. The
 // returned frame's buf has capacity ≥ EagerLimit.
 func (f *Fabric) getFrame() *Frame {
-	if f.frames == nil {
-		return &Frame{} // pooling disabled: plain heap frame
-	}
 	fr, ok := f.frames.Dequeue()
 	if !ok {
 		fr = &Frame{fab: f, buf: make([]byte, f.prof.EagerLimit)}
@@ -447,11 +434,7 @@ func (e *Endpoint) Send(dst int, header, meta uint64, data []byte) error {
 	f.Header = header
 	f.Meta = meta
 	if len(data) > 0 {
-		if f.buf != nil {
-			f.Data = f.buf[:len(data)]
-		} else {
-			f.Data = make([]byte, len(data))
-		}
+		f.Data = f.buf[:len(data)]
 		copy(f.Data, data)
 	} else {
 		f.Data = nil
@@ -463,10 +446,8 @@ func (e *Endpoint) Send(dst int, header, meta uint64, data []byte) error {
 		// Undelivered: return the frame to the pool without counting it as
 		// a consumer recycle.
 		f.rep = nil
-		if f.fab != nil {
-			f.inUse.Store(false)
-			f.fab.putFrame(f)
-		}
+		f.inUse.Store(false)
+		f.fab.putFrame(f)
 		e.sendRetries.Add(1)
 		return ErrResource
 	}
@@ -549,10 +530,8 @@ func (e *Endpoint) Put(dst int, rkey uint32, offset int, data []byte, imm uint64
 		// reads the region after seeing the completion, re-copying on retry
 		// is harmless. Report retriable failure.
 		f.rep = nil
-		if f.fab != nil {
-			f.inUse.Store(false)
-			f.fab.putFrame(f)
-		}
+		f.inUse.Store(false)
+		f.fab.putFrame(f)
 		e.putRetries.Add(1)
 		return ErrResource
 	}

@@ -98,10 +98,9 @@ type Config struct {
 	// Also settable via LCI_ENDPOINT_SHARDS for launcher-spawned workers.
 	EndpointShards int
 
-	// Ablation knobs (also settable via LCI_NO_BATCH_IO, LCI_FIXED_RTO,
-	// LCI_NO_GSO for launcher-spawned workers).
+	// Portable tiers for kernels without the fast paths (also settable via
+	// LCI_NO_BATCH_IO and LCI_NO_GSO for launcher-spawned workers).
 	DisableBatchIO bool // one syscall per datagram, flush every Send (pre-batching path)
-	FixedRTO       bool // keep RTO at the configured seed; no RTT adaptation
 	DisableGSO     bool // no UDP_SEGMENT trains / UDP_GRO coalescing (plain batch I/O)
 
 	// Tracer receives transport lifecycle events (retransmits, ack window
@@ -231,7 +230,6 @@ type Provider struct {
 	txBatch    int
 	ackEvery   int
 	readBufLen int
-	fixedRTO   bool
 
 	conn  net.PacketConn
 	peers []net.Addr
@@ -421,7 +419,6 @@ func New(cfg Config) (*Provider, error) {
 		drainTO:       cfg.DrainTimeout,
 		txBatch:       cfg.TxBatch,
 		ackEvery:      cfg.AckEvery,
-		fixedRTO:      cfg.FixedRTO,
 		conn:          cfg.Conn,
 		maxRegs:       cfg.MaxRegions,
 		tr:            cfg.Tracer,
@@ -1481,7 +1478,7 @@ func (p *Provider) onAck(fl *flow, cum uint32, credit uint64) {
 		fl.baseSeq = cum
 		retired = delta
 		fl.ackStallWarned = false // the window moved: ack-stall episode over
-		if sample >= 0 && !p.fixedRTO {
+		if sample >= 0 {
 			fl.observeRTT(sample, p.minRTO, p.maxRTO)
 		}
 	}
@@ -1683,10 +1680,10 @@ const (
 	EnvReord = "LCI_REORDER"
 	EnvSeed  = "LCI_FAULT_SEED"
 
-	// Hot-path ablation knobs, read by FromEnv so the launcher's
-	// environment reaches every worker (CI runs the smoke job both ways).
+	// Portable-tier and reader-shard settings, read by FromEnv so the
+	// launcher's environment reaches every worker (CI runs the smoke job on
+	// each tier).
 	EnvNoBatchIO    = "LCI_NO_BATCH_IO"
-	EnvFixedRTO     = "LCI_FIXED_RTO"
 	EnvNoGSO        = "LCI_NO_GSO"
 	EnvReaderShards = "LCI_READER_SHARDS"
 
@@ -1700,8 +1697,8 @@ const (
 func InEnv() bool { return os.Getenv(EnvRank) != "" }
 
 // FromEnv builds the provider for a launcher-spawned worker process: rank,
-// peer addresses, the inherited socket, fault-injection rates and ablation
-// knobs all come from the environment.
+// peer addresses, the inherited socket, fault-injection rates and the
+// portable-tier settings all come from the environment.
 func FromEnv() (*Provider, error) {
 	rank, err := strconv.Atoi(os.Getenv(EnvRank))
 	if err != nil {
@@ -1719,7 +1716,6 @@ func FromEnv() (*Provider, error) {
 	cfg.Fault.Dup = envFloat(EnvDup)
 	cfg.Fault.Reorder = envFloat(EnvReord)
 	cfg.DisableBatchIO = envBool(EnvNoBatchIO)
-	cfg.FixedRTO = envBool(EnvFixedRTO)
 	cfg.DisableGSO = envBool(EnvNoGSO)
 	if s := os.Getenv(EnvReaderShards); s != "" {
 		if n, err := strconv.Atoi(s); err == nil {

@@ -113,25 +113,3 @@ func TestRTTKarn(t *testing.T) {
 		t.Fatal("clean packet did not feed the estimator")
 	}
 }
-
-// TestRTTFixedAblation: with FixedRTO set the provider must never adapt —
-// the flow RTO stays at the configured seed through live traffic.
-func TestRTTFixedAblation(t *testing.T) {
-	a, b := pair(t, Config{RTO: 30 * time.Millisecond, FixedRTO: true})
-	for i := 0; i < 50; i++ {
-		if err := a.Send(1, uint64(i), 0, pattern(i, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		pollOne(t, b, 5*time.Second).Release()
-	}
-	time.Sleep(5 * time.Millisecond) // let the final acks land
-	fl := a.flows[1]
-	fl.mu.Lock()
-	srtt, rto := fl.srtt, fl.rto
-	fl.mu.Unlock()
-	if srtt != 0 || rto != 30*time.Millisecond {
-		t.Fatalf("FixedRTO flow adapted: srtt=%v rto=%v", srtt, rto)
-	}
-}

@@ -98,7 +98,6 @@ func TestAckStallWarning(t *testing.T) {
 		RTO:       5 * time.Millisecond,
 		MinRTO:    5 * time.Millisecond,
 		MaxRTO:    20 * time.Millisecond,
-		FixedRTO:  true,
 		StallRTOs: 4,
 		Tracer:    tr,
 	})
@@ -136,7 +135,6 @@ func TestStallCounterWithoutTracer(t *testing.T) {
 		RTO:       5 * time.Millisecond,
 		MinRTO:    5 * time.Millisecond,
 		MaxRTO:    20 * time.Millisecond,
-		FixedRTO:  true,
 		StallRTOs: 3,
 	})
 	if a.tr != nil {

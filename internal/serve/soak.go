@@ -14,8 +14,8 @@ import (
 // target aggregate rate on a fixed schedule, regardless of how fast
 // responses come back (open-loop, so server slowdowns surface as latency
 // rather than silently throttling the offered load), and the harness
-// reports the latency distribution, achieved throughput, and shed rate —
-// the numbers committed as BENCH_serving.json.
+// reports the latency distribution, achieved throughput, and shed rate
+// (lci-serve -soak -out writes them as JSON).
 
 // SoakOptions configures one load-generation run.
 type SoakOptions struct {
@@ -53,7 +53,7 @@ func (o *SoakOptions) fill() error {
 	return nil
 }
 
-// SoakReport is the soak harness's result document (BENCH_serving.json).
+// SoakReport is the soak harness's result document.
 type SoakReport struct {
 	Conns       int     `json:"conns"`
 	TargetQPS   float64 `json:"target_qps"`

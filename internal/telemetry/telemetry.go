@@ -1,7 +1,8 @@
 // Package telemetry is the runtime's observability subsystem: a registry of
 // sharded atomic counters, callback-backed gauges, and power-of-two-bucket
-// histograms, cheap enough to leave enabled on the message hot path
-// (BENCH_datapath.json carries the telemetry-on vs -off ablation).
+// histograms, meant to be cheap enough to leave enabled on the message hot
+// path (the ~3% budget is unverified until it is re-measured with perfbench
+// pairs; LCI_NO_TELEMETRY is the off switch).
 //
 // The design follows the paper's needs (DESIGN.md §11): the evaluation's
 // signals — per-protocol packet counts, packet-pool occupancy, progress-loop

@@ -23,8 +23,8 @@
 //     are exact).
 //   - A nil *Tracer no-ops every method, mirroring the LCI_NO_TELEMETRY
 //     dark path: instrumentation sites pay one predictable branch when
-//     tracing is off (the ablation in BENCH_datapath.json holds this to the
-//     same ~3% budget as telemetry).
+//     tracing is off (the same ~3% budget as telemetry, unverified until it
+//     is re-measured with perfbench pairs).
 package tracing
 
 import (
