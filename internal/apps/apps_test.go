@@ -124,21 +124,23 @@ func TestAbelianAppsDirect(t *testing.T) {
 // geminiStreams are the stream configurations TestGeminiAppsDirect runs
 // every app over. Each builds its transport for p ranks and returns rank
 // r's stream constructor plus a teardown for after every rank has stopped.
+// smallOnly keeps a stream off the larger graph.
 var geminiStreams = []struct {
-	name  string
-	build func(t *testing.T, p int) (mk func(r int) comm.Stream, close func())
+	name      string
+	build     func(t *testing.T, p int) (mk func(r int) comm.Stream, close func())
+	smallOnly bool
 }{
 	{"lci-sim-k1", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.TestProfile(), lci.Options{}, p), func() {}
-	}},
+	}, false},
 	// Tag steering spreads the rounds over all four shards.
 	{"lci-sim-k4", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.TestProfile(), lci.Options{Shards: 4, ShardByTag: true}, p), func() {}
-	}},
+	}, false},
 	// No RDMA: rendezvous payloads stream as FRG fragments.
 	{"lci-sim-sockets", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.Sockets(), lci.Options{}, p), func() {}
-	}},
+	}, false},
 	{"lci-udp", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		provs, err := netfabric.NewLoopbackGroup(p, netfabric.Config{})
 		if err != nil {
@@ -151,7 +153,9 @@ var geminiStreams = []struct {
 					pr.Close()
 				}
 			}
-	}},
+	}, false},
+	// Scale 6 only: once its batches exceed the eager limit and take MPI
+	// rendezvous, Gemini over MPIStream hangs (ROADMAP item 9).
 	{"mpi-probe", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		fab := fabric.New(p, fabric.TestProfile())
 		feps := make([]fabric.Provider, p)
@@ -162,7 +166,7 @@ var geminiStreams = []struct {
 		impl.EagerLimit = fab.Profile().EagerLimit // MPI eager sends must fit one frame
 		w := mpi.NewWorldOver(feps, impl, mpi.ThreadMultiple)
 		return func(r int) comm.Stream { return comm.NewMPIStream(w.Comm(r)) }, func() {}
-	}},
+	}, true},
 }
 
 func lciSimStream(prof fabric.Profile, opt lci.Options, p int) func(int) comm.Stream {
@@ -176,66 +180,84 @@ func lciSimStream(prof fabric.Profile, opt lci.Options, p int) func(int) comm.St
 // LCI streams on the simulated fabric park their receive loop and idle
 // servers on doorbells; over UDP the servers poll and the receive loop
 // yields, as it does over MPIStream.
+//
+// Every stream runs on a Kronecker scale-6 graph, whose batches all fit
+// one eager frame. The LCI streams also run on scale 9 (subtests under
+// "kron9/"): there PageRank's batches, and CC's at one thread, exceed
+// TestProfile's 1 KiB eager limit and travel by rendezvous. The sockets
+// profile's 4 KiB limit still carries every batch eager.
 func TestGeminiAppsDirect(t *testing.T) {
-	g := graph.Kron(6, 5, 7, 16)
 	const p, src, prIters = 2, 1, 5
-	pt := partition.Build(g, p, partition.EdgeCutByDst)
-	apps := []struct {
-		name string
-		// run returns per-master values, indexed by local id, and the
-		// app's round count.
-		run  func(e *gemini.Engine) ([]uint64, int)
-		want []uint64 // nil: compare as PageRank ranks
+	for _, gc := range []struct {
+		prefix string
+		g      *graph.Graph
+		small  bool
 	}{
-		{"bfs", func(e *gemini.Engine) ([]uint64, int) { r := GeminiBFS(e, src); return masters(e), r }, OracleBFS(g, src)},
-		{"sssp", func(e *gemini.Engine) ([]uint64, int) { r := GeminiSSSP(e, src); return masters(e), r }, OracleSSSP(g, src)},
-		{"cc", func(e *gemini.Engine) ([]uint64, int) { r := GeminiCC(e); return masters(e), r }, OracleCC(g)},
-		{"bfs-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiBFSAdaptive(e, src); return masters(e), r }, OracleBFS(g, src)},
-		{"sssp-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiSSSPAdaptive(e, src); return masters(e), r }, OracleSSSP(g, src)},
-		{"cc-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiCCAdaptive(e); return masters(e), r }, OracleCC(g)},
-		{"pagerank", func(e *gemini.Engine) ([]uint64, int) {
-			ranks := GeminiPageRank(e, prIters)
-			out := make([]uint64, len(ranks))
-			for m, r := range ranks {
-				out[m] = math.Float64bits(r)
+		{"", graph.Kron(6, 5, 7, 16), true},
+		{"kron9/", graph.Kron(9, 5, 7, 16), false},
+	} {
+		g := gc.g
+		pt := partition.Build(g, p, partition.EdgeCutByDst)
+		apps := []struct {
+			name string
+			// run returns per-master values, indexed by local id, and the
+			// app's round count.
+			run  func(e *gemini.Engine) ([]uint64, int)
+			want []uint64 // nil: compare as PageRank ranks
+		}{
+			{"bfs", func(e *gemini.Engine) ([]uint64, int) { r := GeminiBFS(e, src); return masters(e), r }, OracleBFS(g, src)},
+			{"sssp", func(e *gemini.Engine) ([]uint64, int) { r := GeminiSSSP(e, src); return masters(e), r }, OracleSSSP(g, src)},
+			{"cc", func(e *gemini.Engine) ([]uint64, int) { r := GeminiCC(e); return masters(e), r }, OracleCC(g)},
+			{"bfs-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiBFSAdaptive(e, src); return masters(e), r }, OracleBFS(g, src)},
+			{"sssp-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiSSSPAdaptive(e, src); return masters(e), r }, OracleSSSP(g, src)},
+			{"cc-adaptive", func(e *gemini.Engine) ([]uint64, int) { r, _ := GeminiCCAdaptive(e); return masters(e), r }, OracleCC(g)},
+			{"pagerank", func(e *gemini.Engine) ([]uint64, int) {
+				ranks := GeminiPageRank(e, prIters)
+				out := make([]uint64, len(ranks))
+				for m, r := range ranks {
+					out[m] = math.Float64bits(r)
+				}
+				return out, e.Rounds
+			}, nil},
+		}
+		prWant := OraclePageRank(g, prIters)
+		for _, st := range geminiStreams {
+			if st.smallOnly && !gc.small {
+				continue
 			}
-			return out, e.Rounds
-		}, nil},
-	}
-	prWant := OraclePageRank(g, prIters)
-	for _, st := range geminiStreams {
-		for _, app := range apps {
-			for _, threads := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/threads=%d", st.name, app.name, threads), func(t *testing.T) {
-					mk, closeNet := st.build(t, p)
-					defer closeNet()
-					got := make([]uint64, g.N)
-					cluster.Run(p, threads, func(r int) comm.Layer { return nop{} }, func(h *cluster.Host) {
-						s := mk(h.Rank)
-						hg := pt.Hosts[h.Rank]
-						e := gemini.New(h, hg, s, Inf, minU64)
-						vals, rounds := app.run(e)
-						if rounds == 0 {
-							t.Errorf("%s: zero rounds", app.name)
+			for _, app := range apps {
+				for _, threads := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s%s/%s/threads=%d", gc.prefix, st.name, app.name, threads), func(t *testing.T) {
+						mk, closeNet := st.build(t, p)
+						defer closeNet()
+						got := make([]uint64, g.N)
+						cluster.Run(p, threads, func(r int) comm.Layer { return nop{} }, func(h *cluster.Host) {
+							s := mk(h.Rank)
+							hg := pt.Hosts[h.Rank]
+							e := gemini.New(h, hg, s, Inf, minU64)
+							vals, rounds := app.run(e)
+							if rounds == 0 {
+								t.Errorf("%s: zero rounds", app.name)
+							}
+							for m := 0; m < hg.NumMasters; m++ {
+								got[hg.L2G[m]] = vals[m]
+							}
+							h.Barrier()
+							s.Stop()
+						})
+						if app.want != nil {
+							equalU64(t, got, app.want, app.name)
+							return
 						}
-						for m := 0; m < hg.NumMasters; m++ {
-							got[hg.L2G[m]] = vals[m]
+						ranks := make([]float64, len(got))
+						for i, v := range got {
+							ranks[i] = math.Float64frombits(v)
 						}
-						h.Barrier()
-						s.Stop()
+						if d := MaxRankDelta(prWant, ranks); d > 1e-9 {
+							t.Fatalf("pagerank delta %.3e", d)
+						}
 					})
-					if app.want != nil {
-						equalU64(t, got, app.want, app.name)
-						return
-					}
-					ranks := make([]float64, len(got))
-					for i, v := range got {
-						ranks[i] = math.Float64frombits(v)
-					}
-					if d := MaxRankDelta(prWant, ranks); d > 1e-9 {
-						t.Fatalf("pagerank delta %.3e", d)
-					}
-				})
+				}
 			}
 		}
 	}

@@ -103,15 +103,15 @@ type CoalesceStats struct {
 }
 
 // emitFn ships one wire message (a plain message or a bundle tagged
-// coalFlag) to dst. done is called exactly once when the sender is finished
-// with data; a nil done means "return data to the port's buffer cache" —
-// the common case, kept nil so hot-path sends allocate no closure. block
-// retries until the send is accepted; a non-block emit returns false on
-// back-pressure and the message stays parked. drain lets a blocked emit pump
-// the receive path (only safe from the layer's protocol thread).
-type emitFn func(worker, dst int, tag uint32, data []byte, done func(), block, drain bool) bool
+// coalFlag) to dst, retrying until the send is accepted. done is called
+// exactly once when the sender is finished with data; a nil done means
+// "return data to the port's buffer cache" — the common case, kept nil so
+// hot-path sends allocate no closure. drain lets a back-pressured emit pump
+// the receive path (only safe from the layer's owner goroutine).
+type emitFn func(worker, dst int, tag uint32, data []byte, done func(), drain bool)
 
-// coalescer packs small per-destination messages into bundles.
+// coalescer packs small per-destination messages into bundles. Only
+// LCILayer's fused sends use it; FinishFused and Stop flush it.
 //
 // It is lazy: the first message for a destination is parked by reference (no
 // copy), and a staging buffer is only allocated when a second message shows
@@ -176,7 +176,7 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 	if recHdr+len(data) > c.limit {
 		// Pass-through: oversized messages ship alone (and may go
 		// rendezvous); bundling them would force an extra copy.
-		c.emit(worker, dst, tag, data, done, true, false)
+		c.emit(worker, dst, tag, data, done, false)
 		return
 	}
 	d := &c.dests[dst]
@@ -191,7 +191,7 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 				c.fireDone(done, data)
 				return
 			}
-			c.flushLocked(worker, d, dst, true, false)
+			c.flushLocked(worker, d, dst, false)
 		case !d.hasOne:
 			d.one = coalRec{tag: tag, data: data, done: done}
 			d.hasOne = true
@@ -206,7 +206,7 @@ func (c *coalescer) add(worker, dst int, tag uint32, data []byte, done func()) {
 			d.nrec = 1
 		default:
 			// Cannot combine with the parked single: ship it, then park data.
-			c.flushLocked(worker, d, dst, true, false)
+			c.flushLocked(worker, d, dst, false)
 		}
 	}
 }
@@ -221,43 +221,30 @@ func (c *coalescer) fireDone(done func(), data []byte) {
 	c.cache.Free(data)
 }
 
-// flushLocked ships whatever is parked for d (bundle or single). It returns
-// false only for a non-block emit that hit back-pressure; the message stays
-// parked for the next flush.
-func (c *coalescer) flushLocked(worker int, d *coalDest, dst int, block, drain bool) bool {
+// flushLocked ships whatever is parked for d (bundle or single).
+func (c *coalescer) flushLocked(worker int, d *coalDest, dst int, drain bool) {
 	if d.buf != nil {
 		buf, n := d.buf, d.nrec
-		if !c.emit(worker, dst, coalFlag, buf, func() { c.cache.put(buf) }, block, drain) {
-			return false
-		}
+		c.emit(worker, dst, coalFlag, buf, func() { c.cache.put(buf) }, drain)
 		c.msgsCoalesced.Add(int64(n))
 		c.coalescedFrames.Add(1)
 		c.recHist.Observe(int64(n))
 		d.buf, d.nrec = nil, 0
-		return true
+		return
 	}
 	if d.hasOne {
-		one := d.one
-		if !c.emit(worker, dst, one.tag, one.data, one.done, block, drain) {
-			return false
-		}
+		c.emit(worker, dst, d.one.tag, d.one.data, d.one.done, drain)
 		d.one, d.hasOne = coalRec{}, false
 	}
-	return true
 }
 
-// flushAll ships every parked message. A non-block flush skips destinations
-// whose lock is contended (another thread is actively packing them) and
-// leaves back-pressured messages parked.
-func (c *coalescer) flushAll(worker int, block, drain bool) {
+// flushAll ships every parked message. Only the layer's owner goroutine may
+// call it: a back-pressured flush pumps the receive path.
+func (c *coalescer) flushAll(worker int) {
 	for dst := range c.dests {
 		d := &c.dests[dst]
-		if block {
-			d.mu.Lock()
-		} else if !d.mu.TryLock() {
-			continue
-		}
-		c.flushLocked(worker, d, dst, block, drain)
+		d.mu.Lock()
+		c.flushLocked(worker, d, dst, true)
 		d.mu.Unlock()
 	}
 }

@@ -11,13 +11,18 @@ import (
 // SEND-ENQ and RECV-DEQ directly (through the shared LCI port); a
 // communication-server goroutine runs the LCI progress loop, and the owner
 // runs a pass itself when its receive waits find RECV-DEQ empty. On top of
-// the port it keeps only its receive discipline: epochs and a per-tag stash
-// for Exchange and fused sends, and fixed-epoch reserved tags for
-// PostTag/RecvTag. It exposes the port's doorbell (Doorbell), so an idle
-// owner can park instead of polling.
+// the port it keeps its receive discipline — epochs and a per-tag stash for
+// Exchange and fused sends, and fixed-epoch reserved tags for
+// PostTag/RecvTag — and the coalescer that bundles fused sends. It exposes
+// the port's doorbell (Doorbell), so an idle owner can park instead of
+// polling.
 type LCILayer struct {
 	lciPort
 	rank int
+
+	// coal packs small fused sends into near-eager-limit bundles per peer.
+	// FinishFused and Stop flush it.
+	coal *coalescer
 
 	epochs epochs
 	stash  stash
@@ -32,11 +37,20 @@ func NewLCILayer(fep fabric.Provider, opt lci.Options) *LCILayer {
 		stash:  stash{},
 	}
 	l.start(fep, opt, l.stash.put)
+	l.coal = newCoalescer(fep.Size(), l.ep.EagerLimit(), l.emit, &l.cache)
+	l.coal.initTelemetry(l.met.reg)
 	return l
 }
 
-// Stop implements Layer.
-func (l *LCILayer) Stop() { l.drain() }
+// CoalesceStats returns the fused-send coalescer's counters.
+func (l *LCILayer) CoalesceStats() CoalesceStats { return l.coal.stats() }
+
+// Stop implements Layer: it ships any fused sends still parked, then drains
+// the port.
+func (l *LCILayer) Stop() {
+	l.coal.flushAll(l.workers[0])
+	l.drain()
+}
 
 // Exchange implements Layer.
 func (l *LCILayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax []int,
@@ -48,7 +62,7 @@ func (l *LCILayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax []i
 			continue
 		}
 		l.met.msgBytes.Observe(int64(len(buf)))
-		l.emit(l.workers[0], p, eff, buf, nil, true, true)
+		l.emit(l.workers[0], p, eff, buf, nil, true)
 	}
 	l.recvEpoch(eff, countExpected(expect, l.rank), onRecv)
 }
@@ -100,6 +114,6 @@ func (l *LCILayer) FinishFused(eff uint32, expect []bool, onRecv func(peer int, 
 // peer (the coalescer's sweet spot): want is the total number of logical
 // messages expected for eff.
 func (l *LCILayer) FinishFusedCount(eff uint32, want int, onRecv func(peer int, data []byte)) {
-	l.coal.flushAll(l.workers[0], true, true)
+	l.coal.flushAll(l.workers[0])
 	l.recvEpoch(eff, want, onRecv)
 }

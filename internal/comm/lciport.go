@@ -18,8 +18,10 @@ const maxStreamThreads = 64
 // paper's "each sending/receiving thread uses LCI Queue" glue, written once:
 // SEND-ENQ with retry and in-flight bookkeeping, RECV-DEQ with rendezvous
 // completion and bundle unpacking, and a communication server progressing
-// the network. The owner adds only its receive discipline: every received
-// logical message goes to deliver, from the goroutine that called poll.
+// the network. Every send leaves through emit as it is handed over; only
+// LCILayer's fused sends bundle first (its coalescer). The owner adds its
+// receive discipline: every received logical message goes to deliver, from
+// the goroutine that called poll.
 type lciPort struct {
 	// ep is the rank's progress-shard set: one endpoint (and one progress
 	// goroutine) at Options.Shards ≤ 1, K of everything above that. The
@@ -28,18 +30,13 @@ type lciPort struct {
 	// never contend on the same pool partition or queues.
 	ep      *lci.Sharded
 	tracker memtrack.Tracker
-	// cache recycles the port's gather, rendezvous and staging buffers
-	// (bufcache.go); it charges tracker.
+	// cache recycles the port's gather and rendezvous buffers, and the
+	// layer's bundle staging buffers (bufcache.go); it charges tracker.
 	cache bufCache
 
 	// workers maps compute-thread indices to pool worker ids; workers[0]
 	// doubles as the owner goroutine's (Exchange, flushes, Stop).
 	workers [maxStreamThreads]int
-
-	// coal packs small per-peer messages into near-eager-limit bundles.
-	// drain flushes it at Stop; owners add their own flush points (the
-	// layer's FinishFused, the stream's idle RecvMsg and ticker).
-	coal *coalescer
 
 	met layerMetrics
 
@@ -79,9 +76,9 @@ func (s sendInFlight) finish(c *bufCache) {
 // communication server. Eager payloads travel in pooled packets and frames;
 // every other communication buffer — gather buffers from AllocBuf,
 // rendezvous receive buffers (the cache is the endpoint's Allocator) and
-// coalescer bundles — recycles through the port's bounded cache, which is
-// why the LCI footprint stays small in Fig. 5 and steady-state traffic
-// allocates no buffers.
+// the layer's coalescer bundles — recycles through the port's bounded
+// cache, which is why the LCI footprint stays small in Fig. 5 and
+// steady-state traffic allocates no buffers.
 func (p *lciPort) start(fep fabric.Provider, opt lci.Options, deliver func(Message)) {
 	p.deliver = deliver
 	p.stop = make(chan struct{})
@@ -92,10 +89,8 @@ func (p *lciPort) start(fep fabric.Provider, opt lci.Options, deliver func(Messa
 	for i := range p.workers {
 		p.workers[i] = p.ep.RegisterWorker()
 	}
-	p.coal = newCoalescer(fep.Size(), p.ep.EagerLimit(), p.emit, &p.cache)
 	p.met = newLayerMetrics(opt.Telemetry, p.Name())
 	p.met.tr = p.ep.Tracer() // endpoint already resolved opt.Tracer / default
-	p.coal.initTelemetry(p.met.reg)
 	go func() {
 		defer close(p.served)
 		p.ep.Serve(p.stop)
@@ -107,9 +102,6 @@ func (p *lciPort) Name() string { return "lci" }
 
 // Telemetry returns the port's metrics registry.
 func (p *lciPort) Telemetry() *telemetry.Registry { return p.met.reg }
-
-// CoalesceStats returns the coalescer counters.
-func (p *lciPort) CoalesceStats() CoalesceStats { return p.coal.stats() }
 
 // Tracker implements Layer and Stream.
 func (p *lciPort) Tracker() *memtrack.Tracker { return &p.tracker }
@@ -124,11 +116,10 @@ func (p *lciPort) AllocBuf(n int) []byte {
 
 // emit is the port's one SEND-ENQ (and the coalescer's send hook): retry on
 // pool exhaustion, then in-flight bookkeeping. done runs when data is
-// reusable (nil means "return data to the cache"). A non-block emit returns
-// false on exhaustion instead of retrying. Every retry reaps completed
-// sends; drain additionally pumps receives, which only the receive owner
-// may do — compute threads must not touch the receive state.
-func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), block, drain bool) bool {
+// reusable (nil means "return data to the cache"). Every retry reaps
+// completed sends; drain additionally pumps receives, which only the receive
+// owner may do — compute threads must not touch the receive state.
+func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), drain bool) {
 	var spins int64
 	for {
 		r, ok := p.ep.SendEnq(worker, dst, tag, data)
@@ -142,10 +133,7 @@ func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), bl
 				p.pendingSend = append(p.pendingSend, sendInFlight{req: r, buf: data, done: done})
 				p.sendMu.Unlock()
 			}
-			return true
-		}
-		if !block {
-			return false
+			return
 		}
 		spins++
 		// Pool exhausted: retriable, never fatal.
@@ -274,13 +262,11 @@ func (p *lciPort) releaseRecv(r *lci.Request, eager bool) {
 	p.cache.Free(b)
 }
 
-// drain is Stop's shutdown: it ships every parked message, waits until every
-// send and every rendezvous receive has completed, then stops the
-// communication server and waits for it to exit — the server releases a
-// completion's frame only after marking the request done. Only the receive
-// owner may call it.
+// drain is Stop's shutdown: it waits until every send and every rendezvous
+// receive has completed, then stops the communication server and waits for
+// it to exit — the server releases a completion's frame only after marking
+// the request done. Only the receive owner may call it.
 func (p *lciPort) drain() {
-	p.coal.flushAll(p.workers[0], true, true)
 	for {
 		p.sendMu.Lock()
 		n := len(p.pendingSend)

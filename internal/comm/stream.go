@@ -3,7 +3,6 @@ package comm
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	lci "lcigraph/internal/core"
 	"lcigraph/internal/fabric"
@@ -35,19 +34,13 @@ type Stream interface {
 
 // ---- LCI stream ----
 
-// coalFlushInterval is the flush loop's requested sleep between flushes of
-// coalesced stream messages that neither a companion message nor an idle
-// RecvMsg flushed (mirrors the probe layer's aggregation timeout). It is not
-// the bound: on an otherwise idle P Go's netpoller rounds the sleep up to
-// about 1 ms (see lci.IdleBackoff), so a parked message may wait about a
-// millisecond, and less only while the P has other work.
-const coalFlushInterval = 50 * time.Microsecond
-
 // LCIStream sends straight from compute threads through the LCI Queue
 // interface — the paper's "simple modifications to the Gemini runtime such
-// that each sending/receiving thread uses LCI Queue instead of MPI". On top
-// of the shared LCI port it keeps only its receive discipline: a FIFO of
-// received messages, and coalescer flushes when idle and on a ticker.
+// that each sending/receiving thread uses LCI Queue instead of MPI". Each
+// SendMsg is one SEND-ENQ on the shared LCI port: Gemini's per-thread
+// batches already aggregate signals, so the stream ships them as they are.
+// On top of the port it keeps only its receive discipline: a FIFO of
+// received messages.
 type LCIStream struct {
 	lciPort
 
@@ -55,16 +48,13 @@ type LCIStream struct {
 	// like RecvMsg itself).
 	ready     []Message
 	readyHead int
-
-	flushDone chan struct{}
 }
 
 // NewLCIStream builds an LCI stream over a fabric provider and starts its
 // communication server.
 func NewLCIStream(fep fabric.Provider, opt lci.Options) *LCIStream {
-	s := &LCIStream{flushDone: make(chan struct{})}
+	s := &LCIStream{}
 	s.start(fep, opt, func(m Message) { s.ready = append(s.ready, m) })
-	go s.flushLoop()
 	return s
 }
 
@@ -79,32 +69,14 @@ func (s *LCIStream) Arrivals() <-chan struct{} {
 	return s.ep.Arrivals()
 }
 
-// flushLoop bounds the latency of parked coalesced messages: a sender whose
-// receive loop went quiet still ships within one flush-loop sleep (about a
-// millisecond at worst; see coalFlushInterval).
-func (s *LCIStream) flushLoop() {
-	defer close(s.flushDone)
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		time.Sleep(coalFlushInterval)
-		s.coal.flushAll(s.workers[0], false, false)
-	}
-}
-
 // Stop implements Stream.
-func (s *LCIStream) Stop() {
-	s.drain()
-	<-s.flushDone
-}
+func (s *LCIStream) Stop() { s.drain() }
 
-// SendMsg implements Stream.
+// SendMsg implements Stream. A compute thread never pumps the receive path,
+// so a back-pressured send only reaps completed sends while it retries.
 func (s *LCIStream) SendMsg(thread, peer int, tag uint32, data []byte) {
 	s.met.msgBytes.Observe(int64(len(data)))
-	s.coal.add(s.workers[thread%maxStreamThreads], peer, tag, data, nil)
+	s.emit(s.workers[thread%maxStreamThreads], peer, tag, data, nil, false)
 }
 
 // RecvMsg implements Stream.
@@ -113,9 +85,6 @@ func (s *LCIStream) RecvMsg() (Message, bool) {
 		s.poll()
 	}
 	if s.readyHead == len(s.ready) {
-		// Nothing ready: flush our own parked coalesced messages so two
-		// idle peers cannot wait on each other's parked bundles.
-		s.coal.flushAll(s.workers[0], false, false)
 		return Message{}, false
 	}
 	m := s.ready[s.readyHead]

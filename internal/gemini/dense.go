@@ -2,7 +2,6 @@ package gemini
 
 import (
 	"encoding/binary"
-	"runtime"
 	"time"
 
 	"lcigraph/internal/bitset"
@@ -88,7 +87,7 @@ func (e *Engine) DenseRound(cur, next *bitset.Bitset,
 	for want > 0 {
 		m, ok := e.S.RecvMsg()
 		if !ok {
-			runtime.Gosched()
+			e.awaitRecv()
 			continue
 		}
 		if m.Tag != tag {

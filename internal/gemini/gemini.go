@@ -45,7 +45,10 @@ type Engine struct {
 
 	stash map[uint32][]comm.Message
 	round int
-	// parked is StreamRound's park timer.
+	// bell is the stream's doorbell (comm.Doorbell), or nil when it has
+	// none: MPIStream, the paper's baseline, and LCIStream over netfabric,
+	// whose server polls. parked is awaitRecv's park timer.
+	bell   <-chan struct{}
 	parked lci.ParkTimer
 
 	ComputeTime time.Duration
@@ -61,6 +64,9 @@ func New(h *cluster.Host, hg *partition.HostGraph, s comm.Stream,
 		Vals:   make([]atomic.Uint64, hg.NumLocal),
 		reduce: reduce,
 		stash:  map[uint32][]comm.Message{},
+	}
+	if d, ok := s.(comm.Doorbell); ok {
+		e.bell = d.Arrivals()
 	}
 	if identity != 0 {
 		for i := range e.Vals {
@@ -159,12 +165,9 @@ func (b *threadBatches) finish() []int64 {
 // completes when every peer's FIN (carrying its batch count) and all its
 // batches have been applied.
 //
-// When RecvMsg finds nothing the loop parks on the stream's doorbell
-// (comm.Doorbell): while computing in one select on the doorbell and the
-// compute threads' completion, afterwards on the doorbell and a
-// lci.ParkBackstop timer. A stream with no doorbell (MPIStream, the paper's
-// baseline, and LCIStream over netfabric, whose server polls) keeps
-// yielding between polls.
+// When RecvMsg finds nothing while computing, the loop parks in one select
+// on the stream's doorbell and the compute threads' completion; afterwards,
+// or on a stream with no doorbell, it waits in awaitRecv.
 func (e *Engine) StreamRound(
 	produce func(thread int, emit func(peer int, gdst uint32, val uint64)),
 	apply func(gdst uint32, val uint64)) {
@@ -173,10 +176,6 @@ func (e *Engine) StreamRound(
 	P := hg.P
 	threads := e.H.Pool.Workers()
 	totals := make([]atomic.Int64, P)
-	var bell <-chan struct{}
-	if d, ok := e.S.(comm.Doorbell); ok {
-		bell = d.Arrivals()
-	}
 
 	startCompute := time.Now()
 	computeDone := make(chan struct{})
@@ -263,21 +262,29 @@ func (e *Engine) StreamRound(
 			handle(m)
 			continue
 		}
-		switch {
-		case bell == nil:
-			runtime.Gosched()
-		case computing:
+		if computing && e.bell != nil {
 			select {
-			case <-bell:
+			case <-e.bell:
 			case <-computeDone:
 			}
-		default:
-			e.parked.Wait(bell, nil)
+			continue
 		}
+		e.awaitRecv()
 	}
 	e.CommTime += time.Since(commStart)
 	e.round++
 	e.Rounds++
+}
+
+// awaitRecv is the receive loops' wait after RecvMsg found nothing: park on
+// the stream's doorbell, with a lci.ParkBackstop timer, or yield when there
+// is no doorbell.
+func (e *Engine) awaitRecv() {
+	if e.bell == nil {
+		runtime.Gosched()
+		return
+	}
+	e.parked.Wait(e.bell, nil)
 }
 
 // relaxEdges runs the slot side of a signal: relax every local out-edge of
