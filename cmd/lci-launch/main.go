@@ -3,13 +3,14 @@
 // loopback — the repo's closest analogue to the paper's multi-host runs.
 //
 // The parent process binds every rank's UDP socket first (so there is no
-// startup race), then re-executes itself P times with the rank, the full
-// address list and the pre-bound socket (as an inherited file descriptor)
-// in the environment. Each child builds the same graph and partition
-// deterministically, runs the requested apps over an LCI layer on the UDP
-// provider, verifies its masters against the single-host oracle, and the
-// job agrees on the global verdict with an Allreduce that itself rides the
-// communication layer (cluster.RunRank).
+// startup race), rejects bad flags and unknown apps, then re-executes
+// itself P times with its own arguments; each child re-parses them and
+// receives only its rank, the address list and the pre-bound socket from
+// the parent (internal/launch). Each child builds the same graph and
+// partition deterministically, runs the requested apps over an LCI layer
+// on the UDP provider, verifies its masters against the single-host
+// oracle, and the job agrees on the global verdict with an Allreduce that
+// itself rides the communication layer (cluster.RunRank).
 //
 // Usage:
 //
@@ -40,89 +41,76 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
-	"time"
 
 	"lcigraph/internal/abelian"
 	"lcigraph/internal/apps"
-	"lcigraph/internal/bench"
 	"lcigraph/internal/cluster"
-	"lcigraph/internal/comm"
 	"lcigraph/internal/graph"
-	"lcigraph/internal/health"
-	"lcigraph/internal/incident"
 	"lcigraph/internal/launch"
-	"lcigraph/internal/netfabric"
 	"lcigraph/internal/partition"
 	"lcigraph/internal/telemetry"
 	"lcigraph/internal/tracing"
 )
 
 type options struct {
-	n           int
-	apps        string
-	graph       string
-	scale       int
-	seed        int64
-	threads     int
-	shards      int
-	source      uint
-	prIters     int
-	repeat      int
-	loss        float64
-	dup         float64
-	reorder     float64
-	faultSeed   int64
-	verbose     bool
-	metricsAddr string
-	metricsOut  string
-	traceOut    string
-	opsLog      string
-	injectStall string
-	incidentDir string
-	profPeriod  string
+	launch.Config
+	apps       []string
+	source     uint
+	prIters    int
+	repeat     int
+	verbose    bool
+	metricsOut string
+	traceOut   string
 }
 
+// knownApps are the names -apps accepts.
+var knownApps = []string{"bfs", "pagerank", "cc", "sssp"}
+
 func parseFlags() *options {
-	o := &options{}
-	flag.IntVar(&o.n, "n", 4, "number of ranks (OS processes)")
-	flag.StringVar(&o.apps, "apps", "bfs,pagerank", "comma-separated apps: bfs,pagerank,cc,sssp")
-	flag.StringVar(&o.graph, "graph", "web", "graph family: rmat | kron | web")
-	flag.IntVar(&o.scale, "scale", 10, "graph scale (2^scale vertices)")
-	flag.Int64Var(&o.seed, "seed", 42, "graph generator seed")
-	flag.IntVar(&o.threads, "threads", 2, "compute threads per rank")
-	flag.IntVar(&o.shards, "shards", 0,
-		"progress shards per rank (sets LCI_ENDPOINT_SHARDS; 0 = inherit env, default 1)")
+	o := &options{Config: launch.DefaultConfig("lci-launch")}
+	o.RegisterFlags(flag.CommandLine)
+	apps := flag.String("apps", "bfs,pagerank", "comma-separated apps: "+strings.Join(knownApps, ","))
 	flag.UintVar(&o.source, "source", 0, "bfs/sssp source vertex")
 	flag.IntVar(&o.prIters, "pr-iters", 10, "pagerank iterations")
 	flag.IntVar(&o.repeat, "repeat", 1, "run the app list this many times (live-metrics window)")
-	flag.Float64Var(&o.loss, "loss", 0, "injected datagram loss rate [0,1)")
-	flag.Float64Var(&o.dup, "dup", 0, "injected duplication rate [0,1)")
-	flag.Float64Var(&o.reorder, "reorder", 0, "injected reorder rate [0,1)")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 0, "fault-injection PRNG seed (0 = default)")
 	flag.BoolVar(&o.verbose, "v", false, "cluster-wide telemetry report at exit")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
-		"serve live telemetry over HTTP; rank r listens on port+r (port 0: ephemeral)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "",
 		"write the merged cluster telemetry snapshot to this JSON file (rank 0)")
 	flag.StringVar(&o.traceOut, "trace-out", "",
 		"enable message-lifecycle tracing and write the merged Chrome trace to this JSON file (rank 0)")
-	flag.StringVar(&o.opsLog, "ops-log", "",
-		"append health ops events (alerts, status changes) as JSONL to this file (rank 0)")
-	flag.StringVar(&o.injectStall, "inject-stall", "",
-		"fault injection rank:shard:after:dur — wedge that rank's progress shard for dur after the delay")
-	flag.StringVar(&o.incidentDir, "incident-dir", "",
-		"write alert/on-demand incident bundles (cross-rank postmortem evidence) into this directory")
-	flag.StringVar(&o.profPeriod, "profile-period", "",
-		"continuous-profiling sampling period (e.g. 60s; 0 disables; default 60s with -incident-dir)")
-	flag.Parse()
+	err := o.Parse(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		o.apps, err = parseApps(*apps)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lci-launch:", err)
+		os.Exit(2)
+	}
 	return o
+}
+
+// parseApps splits -apps, skipping empty entries, and rejects unknown
+// names so no rank starts on a list it cannot run.
+func parseApps(list string) ([]string, error) {
+	var apps []string
+	for _, app := range strings.Split(list, ",") {
+		app = strings.TrimSpace(app)
+		if app == "" {
+			continue
+		}
+		if !slices.Contains(knownApps, app) {
+			return nil, fmt.Errorf("-apps: unknown app %q (want %s)", app, strings.Join(knownApps, ","))
+		}
+		apps = append(apps, app)
+	}
+	return apps, nil
 }
 
 func main() {
 	o := parseFlags()
-	if netfabric.InEnv() {
+	if launch.InChild() {
 		os.Exit(child(o))
 	}
 	os.Exit(parent(o))
@@ -131,55 +119,16 @@ func main() {
 // parent binds all sockets, spawns one child per rank, and reports the
 // job's verdict via the worst child exit code.
 func parent(o *options) int {
-	j, err := launch.NewJob(o.n)
+	j, err := launch.NewJob(&o.Config)
+	if err == nil && o.MetricsAddr != "" {
+		err = j.BindMetrics(o.MetricsAddr)
+	}
+	if err == nil {
+		// -trace-out implies tracing in every child.
+		j.Trace = o.traceOut != ""
+		err = j.Start(os.Args[1:], nil)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lci-launch:", err)
-		return 2
-	}
-	j.Loss, j.Dup, j.Reorder, j.FaultSeed = o.loss, o.dup, o.reorder, o.faultSeed
-	// -trace-out implies tracing in every child.
-	j.Trace = o.traceOut != ""
-	// Children inherit the parent's environment, so exporting the shard
-	// count here reaches both the netfabric reader group and the LCI
-	// progress-shard set in every rank.
-	if o.shards > 0 {
-		os.Setenv(netfabric.EnvEndpointShards, strconv.Itoa(o.shards))
-	}
-	// Same inheritance route for incident capture: the directory (and the
-	// optional continuous-profiling cadence) reach every rank via env.
-	if o.incidentDir != "" {
-		if err := os.MkdirAll(o.incidentDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "lci-launch:", err)
-			return 2
-		}
-		os.Setenv(incident.EnvIncidentDir, o.incidentDir)
-	}
-	if o.profPeriod != "" {
-		os.Setenv(incident.EnvProfilePeriod, o.profPeriod)
-	}
-
-	// With -metrics-addr the parent also pre-binds one TCP listener per
-	// rank, for the same reason it pre-binds the UDP sockets: children
-	// inherit a ready listener and there is no port race or scrape window
-	// where a rank is not yet serving.
-	if o.metricsAddr != "" {
-		if err := j.BindMetrics(o.metricsAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "lci-launch:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "lci-launch: metrics on %s (rank 0 merges at /cluster)\n",
-			strings.Join(j.MetricsAddrs, ","))
-	}
-	henv, err := launch.HealthEnv(o.opsLog, o.injectStall, "lci-launch")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lci-launch:", err)
-		return 2
-	}
-	var extra func(rank int) ([]string, []*os.File)
-	if henv != nil {
-		extra = func(rank int) ([]string, []*os.File) { return henv(rank), nil }
-	}
-	if err := j.Start(os.Args[1:], extra); err != nil {
 		fmt.Fprintln(os.Stderr, "lci-launch:", err)
 		return 2
 	}
@@ -189,62 +138,24 @@ func parent(o *options) int {
 // child is one rank: it joins the job through the inherited socket, runs
 // every requested app, and exits 0 only if the whole job verified.
 func child(o *options) int {
-	prov, err := netfabric.FromEnv()
+	r, err := o.Join()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lci-launch child:", err)
 		return 2
 	}
-	rank, size := prov.Rank(), prov.Size()
-	if rank == 0 {
-		// One line recording what the kernel capability probes negotiated,
-		// so CI logs show which fast-path tier the smoke actually exercised.
-		fmt.Fprintf(os.Stderr, "lci-launch: netfabric %s\n", prov.Capabilities())
-	}
+	g := graph.Named(o.Graph, o.Scale, o.Seed)
+	pt := partition.Build(g, r.Size, partition.VertexCut)
+	hg := pt.Hosts[r.Rank]
 
-	reg := telemetry.New(rank) // honors LCI_NO_TELEMETRY
-	prov.RegisterMetrics(reg)
-	tr := tracing.Default() // nil unless LCI_TRACE (the parent sets it for -trace-out)
-	mon := health.New(health.Options{
-		Rank: rank, Ranks: size, Reg: reg, Tracer: tr,
-		OpsLogPath: os.Getenv(health.EnvOpsLog),
-	})
-	rec := incident.FromEnv(rank, size, reg, tr, mon)
-	if rec != nil {
-		// The recorder's SIGQUIT handler subsumes the flight-record dump
-		// (it dumps, then writes an emergency bundle, then re-raises).
-		rec.NotifySignals()
-		mon.SetAlertHook(rec.OnAlert)
-		mon.SetPumpHook(rec.Pump)
-		rec.Start()
-	} else {
-		tr.NotifySIGQUIT()
-	}
-	mon.Start()
-	srv := launch.ServeMetrics(reg, tr, mon, rec, rank)
-
-	g := graph.Named(o.graph, o.scale, o.seed)
-	pt := partition.Build(g, size, partition.VertexCut)
-	hg := pt.Hosts[rank]
-	opt := bench.LCIOptions(size, o.threads)
-	opt.Telemetry = reg
-	layer := comm.NewLCILayer(prov, opt)
-
-	appList := strings.Split(o.apps, ",")
 	failed := false
-	gather := o.verbose || o.metricsAddr != "" || o.metricsOut != ""
+	gather := o.verbose || o.MetricsAddr != "" || o.metricsOut != ""
 	var merged *telemetry.Snapshot
 	var mergedTrace []byte
-	cluster.RunRank(rank, size, o.threads, layer, func(h *cluster.Host) {
-		mon.Bind(h.Layer)
-		rec.Bind(h.Layer)
+	r.Run(func(h *cluster.Host) {
 		for it := 0; it < o.repeat; it++ {
-			for _, app := range appList {
-				app = strings.TrimSpace(app)
-				if app == "" {
-					continue
-				}
+			for _, app := range o.apps {
 				rt := abelian.New(h, hg, partition.VertexCut)
-				rt.Health = mon
+				rt.Health = r.Mon
 				bad, detail := runApp(rt, g, hg, app, o)
 				totalBad := h.AllreduceSum(bad)
 				if totalBad > 0 {
@@ -258,7 +169,7 @@ func child(o *options) int {
 						verdict = fmt.Sprintf("FAIL (%d master mismatches)", totalBad)
 					}
 					fmt.Printf("lci-launch: %-10s n=%d graph=%s scale=%d rounds=%d  %s%s\n",
-						app, size, o.graph, o.scale, rt.Rounds, verdict, detail)
+						app, r.Size, o.Graph, o.Scale, rt.Rounds, verdict, detail)
 				}
 			}
 		}
@@ -267,7 +178,7 @@ func child(o *options) int {
 			// every rank serializes its snapshot and rank 0 gathers them over
 			// the collective tag, then merges. This works with no HTTP
 			// endpoints at all (-v without -metrics-addr).
-			snap, err := json.Marshal(reg.Snapshot())
+			snap, err := json.Marshal(r.Reg.Snapshot())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "lci-launch: marshal snapshot: %v\n", err)
 				snap = []byte("{}")
@@ -275,10 +186,10 @@ func child(o *options) int {
 			parts := h.GatherBytes(0, snap, 1<<20)
 			if h.Rank == 0 {
 				snaps := make([]*telemetry.Snapshot, 0, len(parts))
-				for r, p := range parts {
+				for rk, p := range parts {
 					var s telemetry.Snapshot
 					if err := json.Unmarshal(p, &s); err != nil {
-						fmt.Fprintf(os.Stderr, "lci-launch: decode rank %d snapshot: %v\n", r, err)
+						fmt.Fprintf(os.Stderr, "lci-launch: decode rank %d snapshot: %v\n", rk, err)
 						continue
 					}
 					snaps = append(snaps, &s)
@@ -286,11 +197,11 @@ func child(o *options) int {
 				merged = telemetry.Merge(snaps...)
 			}
 		}
-		if o.traceOut != "" && tr.Enabled() {
+		if o.traceOut != "" && r.Tracer.Enabled() {
 			// The trace merge rides the communication layer too: each rank's
 			// ring drains into a Chrome trace-event blob, rank 0 gathers and
 			// concatenates them into one timeline.
-			blob := tracing.ChromeTrace(tr.Events(), rank)
+			blob := tracing.ChromeTrace(r.Tracer.Events(), r.Rank)
 			parts := h.GatherBytes(0, blob, 16<<20)
 			if h.Rank == 0 {
 				doc, err := tracing.MergeChrome(parts)
@@ -301,22 +212,10 @@ func child(o *options) int {
 				}
 			}
 		}
-		// Stop judging before RunRank tears the layer down: a stopped
-		// progress loop is indistinguishable from a wedged one. The
-		// recorder goes first so no capture posts on a dying layer.
-		rec.Close()
-		mon.Close()
 	})
 
-	if st := prov.Stats(); st.Retransmits > 0 || st.CreditStalls > 0 {
-		fmt.Fprintf(os.Stderr,
-			"[rank %d] frames=%d bytes=%d retransmits=%d dropped=%d acks=%d pgyAcks=%d batches=%d/%d creditStalls=%d sockErrs=%d srtt=%s\n",
-			rank, st.SendFrames, st.SendBytes, st.Retransmits, st.PacketsDropped,
-			st.AcksSent, st.PiggybackAcks, st.SendBatches, st.RecvBatches,
-			st.CreditStalls, st.SockErrors, time.Duration(st.RTTNanos))
-	}
 	if merged != nil {
-		if o.verbose || o.metricsAddr != "" {
+		if o.verbose || o.MetricsAddr != "" {
 			fmt.Fprint(os.Stderr, merged.Report())
 		}
 		if o.metricsOut != "" {
@@ -336,10 +235,6 @@ func child(o *options) int {
 			fmt.Fprintf(os.Stderr, "lci-launch: merged trace written to %s (open in Perfetto)\n", o.traceOut)
 		}
 	}
-	if srv != nil {
-		srv.Close()
-	}
-	prov.Close()
 	if failed {
 		return 1
 	}
@@ -384,8 +279,7 @@ func runApp(rt *abelian.Runtime, g *graph.Graph, hg *partition.HostGraph,
 		}
 		return 0, fmt.Sprintf("  maxDelta=%.3e", globalMax)
 	default:
-		fmt.Fprintf(os.Stderr, "lci-launch: unknown app %q\n", app)
-		return 1, ""
+		panic("lci-launch: unvalidated app " + app)
 	}
 }
 

@@ -6,11 +6,12 @@
 //
 // The parent pre-binds every socket (the ranks' UDP fabric sockets, the
 // per-rank telemetry listeners, and the client TCP endpoint) before any
-// child exists, then re-executes itself once per rank — the same fork model
-// as lci-launch, via internal/launch. The client listener is inherited by
-// rank 0, so clients can connect the moment the parent prints the address;
-// connections simply queue in the accept backlog until the ranks are
-// resident.
+// child exists, then re-executes itself once per rank with its own
+// arguments — the same fork model and shared flags as lci-launch, via
+// internal/launch. The client listener is inherited by rank 0 as its first
+// extra file, so clients can connect the moment the parent prints the
+// address; connections simply queue in the accept backlog until the ranks
+// are resident.
 //
 // Usage:
 //
@@ -33,55 +34,27 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"lcigraph/internal/bench"
 	"lcigraph/internal/cluster"
-	"lcigraph/internal/comm"
 	"lcigraph/internal/graph"
-	"lcigraph/internal/health"
-	"lcigraph/internal/incident"
 	"lcigraph/internal/launch"
-	"lcigraph/internal/netfabric"
 	"lcigraph/internal/partition"
 	"lcigraph/internal/serve"
-	"lcigraph/internal/telemetry"
-	"lcigraph/internal/tracing"
 )
 
-// envServeFD carries the inherited client-listener fd to rank 0.
-const envServeFD = "LCI_SERVE_FD"
-
 type options struct {
-	n       int
-	graph   string
-	scale   int
-	seed    int64
-	threads int
-	shards  int
+	launch.Config
 
-	addr        string
-	metricsAddr string
-	trace       bool
-	opsLog      string
-	injectStall string
-	incidentDir string
-	profPeriod  string
+	addr  string
+	trace bool
 
 	maxInFlight  int
 	maxPerClient int
 	cacheSize    int
-
-	loss      float64
-	dup       float64
-	reorder   float64
-	faultSeed int64
 
 	soak     bool
 	qps      float64
@@ -92,33 +65,14 @@ type options struct {
 }
 
 func parseFlags() *options {
-	o := &options{}
-	flag.IntVar(&o.n, "n", 4, "number of ranks (OS processes)")
-	flag.StringVar(&o.graph, "graph", "web", "graph family: rmat | kron | web")
-	flag.IntVar(&o.scale, "scale", 12, "graph scale (2^scale vertices)")
-	flag.Int64Var(&o.seed, "seed", 42, "graph generator seed")
-	flag.IntVar(&o.threads, "threads", 2, "compute threads per rank")
-	flag.IntVar(&o.shards, "shards", 0,
-		"progress shards per rank (sets LCI_ENDPOINT_SHARDS; 0 = inherit env, default 1)")
+	o := &options{Config: launch.DefaultConfig("lci-serve")}
+	o.Scale = 12
+	o.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "client TCP endpoint (rank 0)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
-		"serve live telemetry over HTTP; rank r listens on port+r (port 0: ephemeral)")
 	flag.BoolVar(&o.trace, "trace", false, "record message-lifecycle traces (/debug/trace)")
-	flag.StringVar(&o.opsLog, "ops-log", "",
-		"append health ops events (alerts, status changes) as JSONL to this file (rank 0)")
-	flag.StringVar(&o.injectStall, "inject-stall", "",
-		"fault injection rank:shard:after:dur — wedge that rank's progress shard for dur after the delay")
-	flag.StringVar(&o.incidentDir, "incident-dir", "",
-		"write alert/on-demand incident bundles (cross-rank postmortem evidence) into this directory")
-	flag.StringVar(&o.profPeriod, "profile-period", "",
-		"continuous-profiling sampling period (e.g. 60s; 0 disables; default 60s with -incident-dir)")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "admission: max resident queries (0 = default)")
 	flag.IntVar(&o.maxPerClient, "max-per-client", 0, "admission: max resident queries per client (0 = default)")
 	flag.IntVar(&o.cacheSize, "cache", 0, "result-cache entries (0 = default)")
-	flag.Float64Var(&o.loss, "loss", 0, "injected datagram loss rate [0,1)")
-	flag.Float64Var(&o.dup, "dup", 0, "injected duplication rate [0,1)")
-	flag.Float64Var(&o.reorder, "reorder", 0, "injected reorder rate [0,1)")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 0, "fault-injection PRNG seed (0 = default)")
 	flag.BoolVar(&o.soak, "soak", false, "drive open-loop load, report, then drain the job")
 	flag.Float64Var(&o.qps, "qps", 200, "soak: target aggregate query rate")
 	flag.IntVar(&o.conns, "conns", 4, "soak: client connections")
@@ -126,13 +80,16 @@ func parseFlags() *options {
 	flag.DurationVar(&o.maxP99, "max-p99", 250*time.Millisecond,
 		"soak: p99 latency ceiling (skipped when GOMAXPROCS==1)")
 	flag.StringVar(&o.out, "out", "", "soak: write the report JSON here")
-	flag.Parse()
+	if err := o.Parse(flag.CommandLine, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "lci-serve:", err)
+		os.Exit(2)
+	}
 	return o
 }
 
 func main() {
 	o := parseFlags()
-	if netfabric.InEnv() {
+	if launch.InChild() {
 		os.Exit(child(o))
 	}
 	os.Exit(parent(o))
@@ -142,91 +99,30 @@ func main() {
 // the user (serve mode: wait for ^C, forward it as a drain) or drives it
 // itself (soak mode).
 func parent(o *options) int {
-	j, err := launch.NewJob(o.n)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lci-serve:", err)
-		return 2
-	}
-	j.Loss, j.Dup, j.Reorder, j.FaultSeed = o.loss, o.dup, o.reorder, o.faultSeed
-	j.Trace = o.trace
-	// Children inherit the environment: the shard count reaches both the
-	// netfabric reader group and the LCI progress shards in every rank.
-	if o.shards > 0 {
-		os.Setenv(netfabric.EnvEndpointShards, strconv.Itoa(o.shards))
-	}
-	// Same inheritance route for incident capture.
-	if o.incidentDir != "" {
-		if err := os.MkdirAll(o.incidentDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "lci-serve:", err)
-			return 2
-		}
-		os.Setenv(incident.EnvIncidentDir, o.incidentDir)
-	}
-	if o.profPeriod != "" {
-		os.Setenv(incident.EnvProfilePeriod, o.profPeriod)
-	}
-
 	// Soak mode scrapes the cache counters from rank 0's live telemetry, so
 	// it always binds metrics listeners (ephemeral unless the user chose).
-	maddr := o.metricsAddr
+	maddr := o.MetricsAddr
 	if maddr == "" && o.soak {
 		maddr = "127.0.0.1:0"
 	}
-	if maddr != "" {
-		if err := j.BindMetrics(maddr); err != nil {
-			fmt.Fprintln(os.Stderr, "lci-serve:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "lci-serve: metrics on %s (rank 0 merges at /cluster)\n",
-			strings.Join(j.MetricsAddrs, ","))
+	j, err := launch.NewJob(&o.Config)
+	if err == nil && maddr != "" {
+		err = j.BindMetrics(maddr)
 	}
-
-	// The client endpoint is pre-bound like everything else and inherited by
-	// rank 0; with metrics bound it lands at fd 5, otherwise fd 4.
-	cln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lci-serve: bind client endpoint: %v\n", err)
-		return 2
+	var clientAddr string
+	var cf *os.File
+	if err == nil {
+		clientAddr, cf, err = bindClients(o.addr)
 	}
-	clientAddr := cln.Addr().String()
-	fmt.Fprintf(os.Stderr, "lci-serve: serving clients on %s\n", clientAddr)
-	serveFD := 4
-	if maddr != "" {
-		serveFD = 5
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "lci-serve: serving clients on %s\n", clientAddr)
+		j.Trace = o.trace
+		err = j.Start(os.Args[1:], map[int][]*os.File{0: {cf}})
 	}
-	henv, err := launch.HealthEnv(o.opsLog, o.injectStall, "lci-serve")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lci-serve:", err)
 		return 2
 	}
-	var extraErr error
-	extra := func(rank int) ([]string, []*os.File) {
-		var env []string
-		if henv != nil {
-			env = henv(rank)
-		}
-		if rank != 0 {
-			return env, nil
-		}
-		f, err := cln.(*net.TCPListener).File()
-		if err != nil {
-			extraErr = err
-			return env, nil
-		}
-		return append(env, fmt.Sprintf("%s=%d", envServeFD, serveFD)), []*os.File{f}
-	}
-	if err := j.Start(os.Args[1:], extra); err != nil {
-		fmt.Fprintln(os.Stderr, "lci-serve:", err)
-		return 2
-	}
-	if extraErr != nil {
-		fmt.Fprintf(os.Stderr, "lci-serve: inherit client endpoint: %v\n", extraErr)
-		j.Kill()
-		return 2
-	}
-	// Rank 0 holds its inherited copy; the parent's is no longer needed, and
-	// closing it means the endpoint dies with rank 0 at drain.
-	cln.Close()
 
 	if !o.soak {
 		// Serve until interrupted, then translate the interrupt into a
@@ -250,6 +146,19 @@ func parent(o *options) int {
 	return code
 }
 
+// bindClients pre-binds the client endpoint like every other socket; rank
+// 0 inherits it as its first extra file. Only that copy stays open, so the
+// endpoint dies with rank 0 at drain.
+func bindClients(addr string) (string, *os.File, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	defer ln.Close()
+	f, err := ln.(*net.TCPListener).File()
+	return ln.Addr().String(), f, err
+}
+
 // soak drives open-loop load against a started job and writes the report.
 // The job is still running when it returns; the caller drains.
 func soak(o *options, j *launch.Job, addr string) int {
@@ -258,8 +167,8 @@ func soak(o *options, j *launch.Job, addr string) int {
 		Conns:     o.conns,
 		QPS:       o.qps,
 		Duration:  o.duration,
-		Seed:      o.seed,
-		MaxVertex: uint32(1) << o.scale,
+		Seed:      o.Seed,
+		MaxVertex: uint32(1) << o.Scale,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lci-serve:", err)
@@ -294,16 +203,9 @@ func scrapeCacheRatio(j *launch.Job) float64 {
 	if len(j.MetricsAddrs) == 0 {
 		return -1
 	}
-	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get("http://" + j.MetricsAddrs[0] + "/metrics.json")
+	s, err := launch.FetchSnapshot(j.MetricsAddrs[0])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lci-serve: scrape cache counters: %v\n", err)
-		return -1
-	}
-	defer resp.Body.Close()
-	var s telemetry.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		fmt.Fprintf(os.Stderr, "lci-serve: decode cache counters: %v\n", err)
 		return -1
 	}
 	hits := s.Counters["lci_serve_cache_hits_total"]
@@ -317,97 +219,50 @@ func scrapeCacheRatio(j *launch.Job) float64 {
 // child is one rank: it joins the job through the inherited fabric socket,
 // builds the resident partition, and serves until drained.
 func child(o *options) int {
-	prov, err := netfabric.FromEnv()
+	r, err := o.Join()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lci-serve child:", err)
 		return 2
 	}
-	rank, size := prov.Rank(), prov.Size()
-	if rank == 0 {
-		fmt.Fprintf(os.Stderr, "lci-serve: netfabric %s\n", prov.Capabilities())
+	var ln net.Listener
+	if r.Rank == 0 {
+		if ln, err = launch.ExtraListener(0); err != nil {
+			fmt.Fprintf(os.Stderr, "lci-serve: client endpoint: %v\n", err)
+			return 2
+		}
 	}
-
-	reg := telemetry.New(rank) // honors LCI_NO_TELEMETRY
-	prov.RegisterMetrics(reg)
-	tr := tracing.Default() // nil unless LCI_TRACE (the parent sets it for -trace)
-	mon := health.New(health.Options{
-		Rank: rank, Ranks: size, Reg: reg, Tracer: tr,
-		OpsLogPath: os.Getenv(health.EnvOpsLog),
-	})
-	rec := incident.FromEnv(rank, size, reg, tr, mon)
-	if rec != nil {
-		rec.NotifySignals() // subsumes the SIGQUIT flight-record dump
-		mon.SetAlertHook(rec.OnAlert)
-		mon.SetPumpHook(rec.Pump)
-		rec.Start()
-	} else {
-		tr.NotifySIGQUIT()
-	}
-	mon.Start()
-	msrv := launch.ServeMetrics(reg, tr, mon, rec, rank)
 
 	// Every rank builds the same partition deterministically; EdgeCut keeps
 	// a vertex's full out-neighborhood on its owner, which is what lets one
 	// adjacency request per (round, owner) answer a frontier.
-	g := graph.Named(o.graph, o.scale, o.seed)
-	pt := partition.Build(g, size, partition.EdgeCut)
-	opt := bench.LCIOptions(size, o.threads)
-	opt.Telemetry = reg
-	layer := comm.NewLCILayer(prov, opt)
-
+	g := graph.Named(o.Graph, o.Scale, o.Seed)
+	pt := partition.Build(g, r.Size, partition.EdgeCut)
 	cfg := serve.Config{
 		MaxInFlight:  o.maxInFlight,
 		MaxPerClient: o.maxPerClient,
 		CacheSize:    o.cacheSize,
-		Reg:          reg,
-		Tracer:       tr,
-		Health:       mon,
+		Reg:          r.Reg,
+		Tracer:       r.Tracer,
+		Health:       r.Mon,
 	}
-	cluster.RunRank(rank, size, o.threads, layer, func(h *cluster.Host) {
-		mon.Bind(h.Layer)
-		rec.Bind(h.Layer)
+	r.Run(func(h *cluster.Host) {
 		s := serve.New(h, pt, cfg)
-		if rank == 0 {
-			ln, err := launch.InheritedListener(serveFDFromEnv())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lci-serve: client endpoint: %v\n", err)
-				os.Exit(2)
-			}
-			// SIGTERM is the drain signal: stop admitting, finish the
-			// resident queries, then stop the workers.
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-			go func() {
-				<-sig
-				s.InitiateDrain()
-			}()
-			fe := serve.ServeClients(ln, s)
+		if ln == nil {
 			s.Run()
-			signal.Stop(sig)
-			fe.Close()
-		} else {
-			s.Run()
+			return
 		}
-		// Stop judging before RunRank tears the layer down: a stopped
-		// progress loop is indistinguishable from a wedged one. The
-		// recorder goes first so no capture posts on a dying layer.
-		rec.Close()
-		mon.Close()
+		// SIGTERM is the drain signal: stop admitting, finish the resident
+		// queries, then stop the workers.
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+		go func() {
+			<-sig
+			s.InitiateDrain()
+		}()
+		fe := serve.ServeClients(ln, s)
+		s.Run()
+		signal.Stop(sig)
+		fe.Close()
 	})
-
-	if st := prov.Stats(); st.Retransmits > 0 || st.CreditStalls > 0 {
-		fmt.Fprintf(os.Stderr, "[rank %d] frames=%d retransmits=%d creditStalls=%d srtt=%s\n",
-			rank, st.SendFrames, st.Retransmits, st.CreditStalls, time.Duration(st.RTTNanos))
-	}
-	if msrv != nil {
-		msrv.Close()
-	}
-	prov.Close()
 	return 0
-}
-
-func serveFDFromEnv() int {
-	fd := 4
-	fmt.Sscanf(os.Getenv(envServeFD), "%d", &fd)
-	return fd
 }

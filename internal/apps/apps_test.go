@@ -16,6 +16,7 @@ import (
 	"lcigraph/internal/mpi"
 	"lcigraph/internal/netfabric"
 	"lcigraph/internal/partition"
+	"lcigraph/internal/telemetry"
 )
 
 // runAbelianApp executes body on an LCI-backed Abelian cluster of p ranks
@@ -137,9 +138,14 @@ var geminiStreams = []struct {
 	{"lci-sim-k4", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.TestProfile(), lci.Options{Shards: 4, ShardByTag: true}, p), func() {}
 	}, false},
-	// No RDMA: rendezvous payloads stream as FRG fragments.
+	// No RDMA; the 4 KiB eager limit still carries every batch eager.
 	{"lci-sim-sockets", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.Sockets(), lci.Options{}, p), func() {}
+	}, false},
+	// No RDMA and a 1 KiB eager limit: full 3 KiB batches and PageRank's
+	// dense messages stream as FRG fragments under concurrent senders.
+	{"lci-sim-sockets-1k", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
+		return lciSimStream(sockets1k(), lci.Options{}, p), func() {}
 	}, false},
 	{"lci-udp", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		provs, err := netfabric.NewLoopbackGroup(p, netfabric.Config{})
@@ -169,6 +175,13 @@ var geminiStreams = []struct {
 	}, true},
 }
 
+// sockets1k is the no-RDMA sockets profile with a 1 KiB eager limit.
+func sockets1k() fabric.Profile {
+	prof := fabric.Sockets()
+	prof.EagerLimit = 1 << 10
+	return prof
+}
+
 func lciSimStream(prof fabric.Profile, opt lci.Options, p int) func(int) comm.Stream {
 	fab := fabric.New(p, prof)
 	return func(r int) comm.Stream { return comm.NewLCIStream(fab.Endpoint(r), opt) }
@@ -185,7 +198,8 @@ func lciSimStream(prof fabric.Profile, opt lci.Options, p int) func(int) comm.St
 // one eager frame. The LCI streams also run on scale 9 (subtests under
 // "kron9/"): there PageRank's batches, and CC's at one thread, exceed
 // TestProfile's 1 KiB eager limit and travel by rendezvous. The sockets
-// profile's 4 KiB limit still carries every batch eager.
+// profile's 4 KiB limit still carries every batch eager; lci-sim-sockets-1k
+// lowers it to 1 KiB, so the larger batches travel as FRG fragments.
 func TestGeminiAppsDirect(t *testing.T) {
 	const p, src, prIters = 2, 1, 5
 	for _, gc := range []struct {
@@ -260,6 +274,30 @@ func TestGeminiAppsDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGeminiSockets1kTakesFRG: the lci-sim-sockets-1k cells are the only
+// Gemini runs whose stream messages fragment, so PageRank there must really
+// send FRG packets.
+func TestGeminiSockets1kTakesFRG(t *testing.T) {
+	const p = 2
+	g := graph.Kron(9, 5, 7, 16)
+	pt := partition.Build(g, p, partition.EdgeCutByDst)
+	fab := fabric.New(p, sockets1k())
+	regs := []*telemetry.Registry{telemetry.NewEnabled(0), telemetry.NewEnabled(1)}
+	cluster.Run(p, 2, func(r int) comm.Layer { return nop{} }, func(h *cluster.Host) {
+		s := comm.NewLCIStream(fab.Endpoint(h.Rank), lci.Options{Telemetry: regs[h.Rank]})
+		GeminiPageRank(gemini.New(h, pt.Hosts[h.Rank], s, Inf, minU64), 5)
+		h.Barrier()
+		s.Stop()
+	})
+	var frg int64
+	for _, reg := range regs {
+		frg += reg.Snapshot().Counters[lci.MetricTxFRG]
+	}
+	if frg == 0 {
+		t.Fatal("no FRG packets sent")
 	}
 }
 

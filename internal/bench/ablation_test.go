@@ -92,9 +92,11 @@ func TestJitterInjection(t *testing.T) {
 }
 
 // TestSocketsProfileCorrect: the RDMA-less transport (libfabric sockets
-// class) runs the whole matrix through the fragmentation paths — LCI FRG
-// streams, MPI software rendezvous, and emulated RMA puts — with oracle
-// results (§VI portability).
+// class) runs the whole matrix through its fallback paths — MPI software
+// rendezvous and emulated RMA puts — with oracle results (§VI portability).
+// Gemini's stream messages here all fit the 4 KiB eager limit; the stream
+// FRG path under Gemini traffic is covered by internal/apps'
+// lci-sim-sockets-1k cells.
 func TestSocketsProfileCorrect(t *testing.T) {
 	g := testGraph()
 	for _, app := range Apps() {

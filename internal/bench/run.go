@@ -183,8 +183,9 @@ func (c *Config) fill() {
 	}
 }
 
-// LCIOptions sizes the LCI endpoint for a P-host graph run. cmd/lci-launch
-// uses the same sizing so multi-process runs match the in-process harness.
+// LCIOptions sizes the LCI endpoint for a P-host graph run. The SPMD
+// launcher (internal/launch) uses the same sizing so multi-process runs
+// match the in-process harness.
 // The budgets are rank-global: under LCI_ENDPOINT_SHARDS=K (the default
 // Shards here) lci.NewSharded partitions them K ways.
 func LCIOptions(p, threads int) lci.Options {

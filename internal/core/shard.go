@@ -111,8 +111,8 @@ type Sharded struct {
 }
 
 // EnvShards is the environment knob for the progress-shard count, read by
-// ShardsFromEnv. It is the same variable internal/netfabric reads
-// (EnvEndpointShards) to align its reuseport reader group.
+// ShardsFromEnv. The SPMD launcher resolves it the same way (unless
+// -shards overrides it) to align the netfabric reuseport reader group.
 const EnvShards = "LCI_ENDPOINT_SHARDS"
 
 // ShardsFromEnv returns the shard count requested via LCI_ENDPOINT_SHARDS,

@@ -7,11 +7,6 @@ import (
 	"time"
 )
 
-// EnvOpsLog names the ops-event log path environment variable; the
-// launchers set it on rank 0 when -ops-log is given, and the child wires it
-// into Options.OpsLogPath.
-const EnvOpsLog = "LCI_OPS_LOG"
-
 // OpsLog is an append-only JSONL event log — the durable record of health
 // transitions (monitor start/stop, alert fired/cleared, status changes)
 // that survives the process and uploads as a CI artifact. One JSON object

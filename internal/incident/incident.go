@@ -34,13 +34,6 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// EnvIncidentDir propagates -incident-dir from the launcher to children.
-const EnvIncidentDir = "LCI_INCIDENT_DIR"
-
-// EnvProfilePeriod optionally overrides the continuous-profiling period
-// (Go duration syntax; "0" disables continuous profiling).
-const EnvProfilePeriod = "LCI_PROFILE_PERIOD"
-
 // Trigger records why a capture ran.
 type Trigger struct {
 	Kind   string        `json:"kind"` // "alert" | "manual" | "signal" | "sigquit"
@@ -164,31 +157,6 @@ func New(opt Options) *Recorder {
 		r.prof = newProfiler(opt.ProfilePeriod, opt.ProfileDuration, opt.ProfileKeep)
 	}
 	return r
-}
-
-// FromEnv builds a recorder from the launcher-provided environment:
-// EnvIncidentDir selects the bundle directory (unset → nil recorder,
-// incident capture disabled) and EnvProfilePeriod optionally overrides the
-// continuous-profiling cadence ("0" disables it). The caller supplies the
-// rank wiring; hook the result up with Monitor.SetAlertHook(rec.OnAlert)
-// and Monitor.SetPumpHook(rec.Pump).
-func FromEnv(rank, ranks int, reg *telemetry.Registry, tr *tracing.Tracer, mon *health.Monitor) *Recorder {
-	opt := Options{
-		Rank: rank, Ranks: ranks, Dir: os.Getenv(EnvIncidentDir),
-		Reg: reg, Tracer: tr, Monitor: mon,
-	}
-	if s := os.Getenv(EnvProfilePeriod); s != "" {
-		if d, err := time.ParseDuration(s); err == nil {
-			if d <= 0 {
-				opt.ProfilePeriod = -1
-			} else {
-				opt.ProfilePeriod = d
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "incident: %s=%q: %v (using default)\n", EnvProfilePeriod, s, err)
-		}
-	}
-	return New(opt)
 }
 
 // Start launches the continuous profiler and the local-mode fallback

@@ -1,56 +1,65 @@
-// Package launch is the shared scaffolding for SPMD launcher commands
-// (cmd/lci-launch, cmd/lci-serve): a parent process that pre-binds every
-// rank's sockets and re-executes itself once per rank, and the child-side
-// helpers that pick the inherited endpoints back up.
+// Package launch owns the SPMD launcher protocol shared by cmd/lci-launch
+// and cmd/lci-serve: a parent process that pre-binds every rank's sockets
+// and re-executes itself once per rank (Job), and the child-side bootstrap
+// that picks the inherited endpoints back up (Config.Join).
 //
 // Pre-binding is the whole point: the parent binds each rank's UDP socket
 // and (optionally) its telemetry TCP listener before any child exists, so
 // there is no startup race, no port negotiation, and no scrape window where
-// a rank is not yet serving. Children inherit the sockets as file
-// descriptors at fixed positions:
+// a rank is not yet serving.
 //
-//	fd 3  the rank's UDP fabric socket (netfabric.EnvFD)
-//	fd 4  the rank's telemetry TCP listener (EnvMetricsFD; when bound)
-//	fd 5+ command-specific extras, in the order Start's extra callback
-//	      returned them
+// Exactly three things cross the fork. The argv is the parent's own, so
+// every rank parses the same flags (Config) and needs nothing relayed. The
+// handoff environment carries only what the parent created: LCI_RANK,
+// LCI_SIZE, LCI_ADDRS (every rank's UDP address), LCI_FD, LCI_METRICS_FD
+// and LCI_METRICS_ADDRS when metrics are bound, LCI_TRACE=1 when the
+// command turns tracing on, and LCI_INJECT_STALL on the rank -inject-stall
+// targets (internal/core reads it). The files sit at fixed descriptors:
+//
+//	fd 3  the rank's UDP fabric socket
+//	fd 4  the rank's telemetry TCP listener (closed when metrics are unbound)
+//	fd 5+ command-specific extras, in the order Start was given them
+//	      (ExtraListener finds them)
 package launch
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	"lcigraph/internal/health"
-	"lcigraph/internal/incident"
+	lci "lcigraph/internal/core"
 	"lcigraph/internal/netfabric"
-	"lcigraph/internal/telemetry"
 	"lcigraph/internal/tracing"
 )
 
-// Environment carrying the pre-bound metrics listeners to the children:
-// the inherited fd of this rank's TCP listener and the comma-separated
-// actual addresses of every rank's endpoint (rank 0 scrapes its peers).
+// The handoff environment (see the package comment).
 const (
-	EnvMetricsFD    = "LCI_METRICS_FD"
-	EnvMetricsAddrs = "LCI_METRICS_ADDRS"
+	envRank         = "LCI_RANK"
+	envSize         = "LCI_SIZE"
+	envAddrs        = "LCI_ADDRS"
+	envFD           = "LCI_FD"
+	envMetricsFD    = "LCI_METRICS_FD"
+	envMetricsAddrs = "LCI_METRICS_ADDRS"
 )
 
-// Job is one parent-side SPMD launch: N ranks over pre-bound loopback UDP,
-// optional per-rank telemetry listeners, fault injection, and tracing.
-type Job struct {
-	N int
+// The inherited descriptor layout (see the package comment).
+const (
+	fdUDP     = 3
+	fdMetrics = 4
+	fdExtra   = 5
+)
 
-	// Fault injection applied to every rank's UDP socket.
-	Loss, Dup, Reorder float64
-	FaultSeed          int64
+// InChild reports whether this process is a rank a Job started.
+func InChild() bool { return os.Getenv(envRank) != "" }
+
+// Job is one parent-side SPMD launch: N ranks over pre-bound loopback UDP,
+// optional per-rank telemetry listeners, and tracing.
+type Job struct {
+	cfg *Config
 
 	// Trace turns message-lifecycle tracing on in every child (LCI_TRACE=1).
 	Trace bool
@@ -64,9 +73,15 @@ type Job struct {
 	cmds     []*exec.Cmd
 }
 
-// NewJob pre-binds n loopback UDP sockets, one per rank.
-func NewJob(n int) (*Job, error) {
-	j := &Job{N: n, udpConns: make([]*net.UDPConn, n), udpAddrs: make([]string, n)}
+// NewJob pre-binds cfg.N loopback UDP sockets, one per rank, and creates
+// the incident directory when one is set.
+func NewJob(cfg *Config) (*Job, error) {
+	if cfg.IncidentDir != "" {
+		if err := os.MkdirAll(cfg.IncidentDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	j := &Job{cfg: cfg, udpConns: make([]*net.UDPConn, cfg.N), udpAddrs: make([]string, cfg.N)}
 	for i := range j.udpConns {
 		// SO_REUSEPORT on the pre-bound socket is what lets each child's
 		// extra reader shards join its inherited address.
@@ -97,8 +112,8 @@ func (j *Job) BindMetrics(addr string) error {
 	if scrapeHost == "" || scrapeHost == "0.0.0.0" || scrapeHost == "::" {
 		scrapeHost = "127.0.0.1"
 	}
-	j.mlns = make([]*net.TCPListener, j.N)
-	j.MetricsAddrs = make([]string, j.N)
+	j.mlns = make([]*net.TCPListener, j.cfg.N)
+	j.MetricsAddrs = make([]string, j.cfg.N)
 	for i := range j.mlns {
 		port := 0
 		if base != 0 {
@@ -112,27 +127,50 @@ func (j *Job) BindMetrics(addr string) error {
 		_, p, _ := net.SplitHostPort(ln.Addr().String())
 		j.MetricsAddrs[i] = net.JoinHostPort(scrapeHost, p)
 	}
+	fmt.Fprintf(os.Stderr, "%s: metrics on %s (rank 0 merges at /cluster)\n",
+		j.cfg.Name, strings.Join(j.MetricsAddrs, ","))
 	return nil
 }
 
-// Start re-executes the current binary once per rank with args, wiring the
-// pre-bound sockets and the fabric environment. extra, when non-nil, names
-// additional environment entries and inherited files for a rank; its files
-// land at the fixed fd positions documented on the package (5 onwards when
-// metrics are bound, 4 onwards otherwise — commands that need the number in
-// an env var hardcode the layout they create). A mid-loop failure kills the
-// already-started ranks, which would otherwise block forever waiting for
-// peers that will never exist.
-func (j *Job) Start(args []string, extra func(rank int) ([]string, []*os.File)) error {
+// Start re-executes the current binary once per rank with args, handing
+// each rank its pre-bound sockets and the handoff environment. extra maps a
+// rank to the files it inherits from fd 5 onwards; Start closes them once
+// the rank has its copy. A mid-loop failure kills the already-started
+// ranks, which would otherwise block forever waiting for peers that will
+// never exist.
+func (j *Job) Start(args []string, extra map[int][]*os.File) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	addrList := strings.Join(j.udpAddrs, ",")
-	j.cmds = make([]*exec.Cmd, j.N)
-	fail := func(files []*os.File, err error) error {
+	// Parse validated the spec; an unparsed Config injects nothing.
+	stallRank, stallSpec, _ := j.cfg.stall()
+	if stallRank >= 0 {
+		fmt.Fprintf(os.Stderr, "%s: injecting progress stall on rank %d (%s)\n", j.cfg.Name, stallRank, stallSpec)
+	}
+	j.cmds = make([]*exec.Cmd, j.cfg.N)
+	env := append(os.Environ(),
+		envSize+"="+strconv.Itoa(j.cfg.N),
+		envAddrs+"="+strings.Join(j.udpAddrs, ","),
+		envFD+"="+strconv.Itoa(fdUDP),
+	)
+	if j.Trace {
+		// The last entry wins over any inherited LCI_TRACE value.
+		env = append(env, tracing.EnvEnable+"=1")
+	}
+	if j.mlns != nil {
+		env = append(env,
+			envMetricsFD+"="+strconv.Itoa(fdMetrics),
+			envMetricsAddrs+"="+strings.Join(j.MetricsAddrs, ","),
+		)
+	}
+	var files []*os.File
+	fail := func(err error) error {
 		for _, f := range files {
-			if f != nil {
+			f.Close()
+		}
+		for _, efs := range extra {
+			for _, f := range efs {
 				f.Close()
 			}
 		}
@@ -143,51 +181,37 @@ func (j *Job) Start(args []string, extra func(rank int) ([]string, []*os.File)) 
 	for i := range j.cmds {
 		f, err := j.udpConns[i].File()
 		if err != nil {
-			return fail(nil, fmt.Errorf("dup socket rank %d: %w", i, err))
+			return fail(fmt.Errorf("dup socket rank %d: %w", i, err))
+		}
+		// A nil entry leaves its descriptor closed in the child, which keeps
+		// fd 4 reserved for metrics and the extras at fd 5 either way.
+		files = []*os.File{f, nil}
+		if j.mlns != nil {
+			if files[1], err = j.mlns[i].File(); err != nil {
+				return fail(fmt.Errorf("dup metrics listener rank %d: %w", i, err))
+			}
+		}
+		files = append(files, extra[i]...)
+		if files[len(files)-1] == nil {
+			files = files[:1]
 		}
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
-		cmd.ExtraFiles = []*os.File{f} // child fd 3
-		cmd.Env = append(os.Environ(),
-			netfabric.EnvRank+"="+strconv.Itoa(i),
-			netfabric.EnvSize+"="+strconv.Itoa(j.N),
-			netfabric.EnvAddrs+"="+addrList,
-			netfabric.EnvFD+"=3",
-			netfabric.EnvLoss+"="+fmt.Sprint(j.Loss),
-			netfabric.EnvDup+"="+fmt.Sprint(j.Dup),
-			netfabric.EnvReord+"="+fmt.Sprint(j.Reorder),
-			netfabric.EnvSeed+"="+strconv.FormatInt(j.FaultSeed, 10),
-		)
-		if j.Trace {
-			// The last entry wins over any inherited LCI_TRACE value.
-			cmd.Env = append(cmd.Env, tracing.EnvEnable+"=1")
-		}
-		files := []*os.File{f}
-		if j.mlns != nil {
-			mf, err := j.mlns[i].File()
-			if err != nil {
-				return fail(files, fmt.Errorf("dup metrics listener rank %d: %w", i, err))
-			}
-			files = append(files, mf)
-			cmd.ExtraFiles = append(cmd.ExtraFiles, mf) // child fd 4
-			cmd.Env = append(cmd.Env,
-				EnvMetricsFD+"=4",
-				EnvMetricsAddrs+"="+strings.Join(j.MetricsAddrs, ","),
-			)
-		}
-		if extra != nil {
-			env, efs := extra(i)
-			cmd.Env = append(cmd.Env, env...)
-			cmd.ExtraFiles = append(cmd.ExtraFiles, efs...)
-			files = append(files, efs...)
+		cmd.ExtraFiles = files
+		cmd.Env = append(env[:len(env):len(env)], envRank+"="+strconv.Itoa(i))
+		if i == stallRank {
+			cmd.Env = append(cmd.Env, lci.EnvInjectStall+"="+stallSpec)
 		}
 		if err := cmd.Start(); err != nil {
-			return fail(files, fmt.Errorf("start rank %d: %w", i, err))
+			return fail(fmt.Errorf("start rank %d: %w", i, err))
 		}
 		for _, fl := range files {
-			fl.Close()
+			if fl != nil {
+				fl.Close()
+			}
 		}
+		files = nil
 		j.udpConns[i].Close()
 		if j.mlns != nil {
 			j.mlns[i].Close()
@@ -248,118 +272,6 @@ func (j *Job) closeBound() {
 			l.Close()
 		}
 	}
-}
-
-// ServeMetrics starts the child-side live telemetry endpoint on the TCP
-// listener the parent pre-bound and passed down as EnvMetricsFD. Rank 0
-// additionally serves /cluster(.json), scraping every peer's /metrics.json
-// and merging. Alongside the metrics, /debug/trace(/flight) serve the
-// lifecycle tracer — on rank 0 the trace document merges every peer's,
-// scraped from their /debug/trace?local=1 — and, when a health monitor is
-// wired, /healthz (200 OK / 503 DEGRADED|UNHEALTHY) and /debug/health.json
-// (the judgment view plus every time series; what cmd/lci-top polls). With
-// an incident recorder wired, /debug/incident (capture status + continuous
-// profile inventory) and /debug/incident/capture (trigger an on-demand
-// cross-rank capture) join them. Returns nil when no listener was
-// inherited. mon and rec may be nil.
-func ServeMetrics(reg *telemetry.Registry, tr *tracing.Tracer, mon *health.Monitor, rec *incident.Recorder, rank int) *http.Server {
-	fdStr := os.Getenv(EnvMetricsFD)
-	if fdStr == "" {
-		return nil
-	}
-	fd, err := strconv.Atoi(fdStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "launch: %s=%q: %v\n", EnvMetricsFD, fdStr, err)
-		return nil
-	}
-	f := os.NewFile(uintptr(fd), "metrics-listener")
-	ln, err := net.FileListener(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "launch: metrics listener: %v\n", err)
-		return nil
-	}
-	var clusterFn func() (*telemetry.Snapshot, error)
-	var mergedFn func() ([]byte, error)
-	if rank == 0 {
-		addrs := strings.Split(os.Getenv(EnvMetricsAddrs), ",")
-		clusterFn = func() (*telemetry.Snapshot, error) { return ScrapeCluster(reg, addrs) }
-		mergedFn = func() ([]byte, error) { return ScrapeTraces(tr, rank, addrs) }
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/debug/trace", tracing.Handler(tr, mergedFn))
-	mux.Handle("/debug/trace/", tracing.Handler(tr, mergedFn))
-	if mon != nil {
-		mux.HandleFunc("/healthz", mon.ServeHealthz)
-		mux.HandleFunc("/debug/health.json", mon.ServeJSON)
-	}
-	if rec != nil {
-		mux.HandleFunc("/debug/incident", rec.ServeStatus)
-		mux.HandleFunc("/debug/incident/capture", rec.ServeCapture)
-	}
-	mux.Handle("/", telemetry.Handler(reg, clusterFn))
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return srv
-}
-
-// InheritedListener picks up a TCP listener the parent passed down at fd
-// (the command-specific extras, fd 5 onwards).
-func InheritedListener(fd int) (net.Listener, error) {
-	f := os.NewFile(uintptr(fd), "inherited-listener")
-	ln, err := net.FileListener(f)
-	f.Close()
-	return ln, err
-}
-
-// ScrapeCluster merges this rank's live snapshot with every peer's, fetched
-// from their /metrics.json endpoints.
-func ScrapeCluster(reg *telemetry.Registry, addrs []string) (*telemetry.Snapshot, error) {
-	snaps := []*telemetry.Snapshot{reg.Snapshot()}
-	client := &http.Client{Timeout: 2 * time.Second}
-	for r, a := range addrs {
-		if r == 0 || a == "" {
-			continue
-		}
-		resp, err := client.Get("http://" + a + "/metrics.json")
-		if err != nil {
-			return nil, fmt.Errorf("scrape rank %d: %w", r, err)
-		}
-		var s telemetry.Snapshot
-		err = json.NewDecoder(resp.Body).Decode(&s)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("decode rank %d: %w", r, err)
-		}
-		snaps = append(snaps, &s)
-	}
-	return telemetry.Merge(snaps...), nil
-}
-
-// ScrapeTraces merges this rank's live Chrome trace with every peer's,
-// fetched from their /debug/trace?local=1 endpoints.
-func ScrapeTraces(tr *tracing.Tracer, rank int, addrs []string) ([]byte, error) {
-	blobs := [][]byte{tracing.ChromeTrace(tr.Events(), rank)}
-	client := &http.Client{Timeout: 2 * time.Second}
-	for r, a := range addrs {
-		if r == rank || a == "" {
-			continue
-		}
-		resp, err := client.Get("http://" + a + "/debug/trace?local=1")
-		if err != nil {
-			return nil, fmt.Errorf("scrape rank %d: %w", r, err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("read rank %d: %w", r, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("scrape rank %d: %s", r, resp.Status)
-		}
-		blobs = append(blobs, b)
-	}
-	return tracing.MergeChrome(blobs)
 }
 
 // WriteFileAtomic writes data to path via a temp file + rename so a reader

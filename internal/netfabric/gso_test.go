@@ -203,11 +203,11 @@ func TestGSOLargeMessages(t *testing.T) {
 
 // TestEnvKnobs: the ablation environment variables must reach the config.
 func TestEnvKnobs(t *testing.T) {
-	t.Setenv(EnvRank, "0")
-	t.Setenv(EnvAddrs, "127.0.0.1:0")
 	t.Setenv(EnvNoGSO, "1")
 	t.Setenv(EnvReaderShards, "1")
-	p, err := FromEnv()
+	cfg := Config{Rank: 0, Addrs: []string{"127.0.0.1:0"}}
+	cfg.ApplyEnv()
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ type Config struct {
 	// provider's behavior by itself; it raises ReaderShards to match, so
 	// kernel-side reuseport steering and upper-layer progress sharding have
 	// the same parallelism, and it is reported by Capabilities. Default 1.
-	// Also settable via LCI_ENDPOINT_SHARDS for launcher-spawned workers.
+	// The SPMD launcher sets it from -shards or LCI_ENDPOINT_SHARDS.
 	EndpointShards int
 
 	// Portable tiers for kernels without the fast paths (also settable via
@@ -1667,99 +1667,25 @@ func (p *Provider) Stats() fabric.Stats {
 	}
 }
 
-// ---- environment wiring (SPMD launcher) ----
+// ---- environment knobs ----
 
-// Env variable names used between cmd/lci-launch and worker processes.
+// Portable-tier and reader-shard settings for processes that build their
+// Config through ApplyEnv (the SPMD launcher's ranks), so CI can run the
+// launcher smoke on each tier.
 const (
-	EnvRank  = "LCI_RANK"
-	EnvSize  = "LCI_SIZE"
-	EnvAddrs = "LCI_ADDRS"
-	EnvFD    = "LCI_FD" // inherited pre-bound UDP socket file descriptor
-	EnvLoss  = "LCI_LOSS"
-	EnvDup   = "LCI_DUP"
-	EnvReord = "LCI_REORDER"
-	EnvSeed  = "LCI_FAULT_SEED"
-
-	// Portable-tier and reader-shard settings, read by FromEnv so the
-	// launcher's environment reaches every worker (CI runs the smoke job on
-	// each tier).
 	EnvNoBatchIO    = "LCI_NO_BATCH_IO"
 	EnvNoGSO        = "LCI_NO_GSO"
 	EnvReaderShards = "LCI_READER_SHARDS"
-
-	// EnvEndpointShards is the upper-layer progress-shard count (internal/
-	// core reads the same variable to size its shard set); the provider uses
-	// it to align the reuseport reader group and report it in Capabilities.
-	EnvEndpointShards = "LCI_ENDPOINT_SHARDS"
 )
 
-// InEnv reports whether the process was spawned by the SPMD launcher.
-func InEnv() bool { return os.Getenv(EnvRank) != "" }
-
-// FromEnv builds the provider for a launcher-spawned worker process: rank,
-// peer addresses, the inherited socket, fault-injection rates and the
-// portable-tier settings all come from the environment.
-func FromEnv() (*Provider, error) {
-	rank, err := strconv.Atoi(os.Getenv(EnvRank))
-	if err != nil {
-		return nil, fmt.Errorf("netfabric: bad %s: %w", EnvRank, err)
+// ApplyEnv sets DisableBatchIO, DisableGSO and ReaderShards from the
+// environment knobs above; unset knobs leave the fields as they are.
+func (c *Config) ApplyEnv() {
+	c.DisableBatchIO = c.DisableBatchIO || envBool(EnvNoBatchIO)
+	c.DisableGSO = c.DisableGSO || envBool(EnvNoGSO)
+	if n, err := strconv.Atoi(os.Getenv(EnvReaderShards)); err == nil {
+		c.ReaderShards = n
 	}
-	addrs := strings.Split(os.Getenv(EnvAddrs), ",")
-	if sz := os.Getenv(EnvSize); sz != "" {
-		n, err := strconv.Atoi(sz)
-		if err != nil || n != len(addrs) {
-			return nil, fmt.Errorf("netfabric: %s=%q disagrees with %d addresses", EnvSize, sz, len(addrs))
-		}
-	}
-	cfg := Config{Rank: rank, Addrs: addrs}
-	cfg.Fault.Loss = envFloat(EnvLoss)
-	cfg.Fault.Dup = envFloat(EnvDup)
-	cfg.Fault.Reorder = envFloat(EnvReord)
-	cfg.DisableBatchIO = envBool(EnvNoBatchIO)
-	cfg.DisableGSO = envBool(EnvNoGSO)
-	if s := os.Getenv(EnvReaderShards); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			cfg.ReaderShards = n
-		}
-	}
-	if s := os.Getenv(EnvEndpointShards); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			cfg.EndpointShards = n
-		}
-	}
-	if s := os.Getenv(EnvSeed); s != "" {
-		seed, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("netfabric: bad %s: %w", EnvSeed, err)
-		}
-		cfg.Fault.Seed = seed
-	}
-	if fdStr := os.Getenv(EnvFD); fdStr != "" {
-		fd, err := strconv.Atoi(fdStr)
-		if err != nil {
-			return nil, fmt.Errorf("netfabric: bad %s: %w", EnvFD, err)
-		}
-		f := os.NewFile(uintptr(fd), "lci-udp")
-		pc, err := net.FilePacketConn(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("netfabric: inherited socket: %w", err)
-		}
-		cfg.Conn = pc
-	}
-	return New(cfg)
-}
-
-func envFloat(name string) float64 {
-	s := os.Getenv(name)
-	if s == "" {
-		return 0
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 func envBool(name string) bool {
