@@ -209,26 +209,6 @@ func BenchmarkThreadScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFused compares the standard Exchange path against the
-// fused gather-send integration (DESIGN.md §5 / paper §VI future work).
-func BenchmarkAblationFused(b *testing.B) {
-	g := benchGraph("rmat")
-	for _, fused := range []bool{false, true} {
-		name := "exchange"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := bench.Config{App: "pagerank", Layer: bench.LCI, Hosts: benchHosts,
-				Threads: 2, PRIters: 5, Fused: fused}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bench.RunAbelian(g, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationOrdering quantifies MPI's non-overtaking guarantee.
 func BenchmarkAblationOrdering(b *testing.B) {
 	g := benchGraph("rmat")

@@ -29,7 +29,7 @@ func main() {
 	table2 := flag.Bool("table2", false, "Table II: NIC portability")
 	table3 := flag.Bool("table3", false, "Table III: cluster profiles")
 	table4 := flag.Bool("table4", false, "Table IV: other MPI implementations")
-	ablations := flag.Bool("ablations", false, "design-choice ablations (fusion, ordering, aggregation, pool locality)")
+	ablations := flag.Bool("ablations", false, "design-choice ablations (ordering, aggregation, adaptive Gemini, direction-optimizing BFS, pool locality)")
 	portability := flag.Bool("portability", false, "apps across omnipath/infiniband/sockets transports")
 	alltoall := flag.Bool("alltoall", false, "all-to-all message-rate microbenchmark")
 	threadScaling := flag.Bool("thread-scaling", false, "end-to-end thread-count sweep")
@@ -100,9 +100,8 @@ func main() {
 		return bench.ThreadScaling(e, []int{1, 2, 4, 8})
 	})
 	run(*ablations, "Ablations", func() string {
-		return bench.AblationFused(e) + "\n" + bench.AblationOrdering(e) + "\n" +
-			bench.AblationAggregation(e) + "\n" + bench.AblationAdaptive(e) + "\n" +
-			bench.AblationDirectionBFS(e) + "\n" +
+		return bench.AblationOrdering(e) + "\n" + bench.AblationAggregation(e) + "\n" +
+			bench.AblationAdaptive(e) + "\n" + bench.AblationDirectionBFS(e) + "\n" +
 			bench.AblationPoolLocality(4, *microIters)
 	})
 

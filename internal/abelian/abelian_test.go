@@ -242,36 +242,6 @@ func TestSparsePairFormat(t *testing.T) {
 	})
 }
 
-// TestFusedSyncMatchesExchange: the fused reduce path produces the same
-// master values as the standard path.
-func TestFusedSyncMatchesExchange(t *testing.T) {
-	g := graph.Kron(6, 4, 5, 8)
-	const p = 3
-	results := [2][]uint64{}
-	for mode := 0; mode < 2; mode++ {
-		vals := make([]uint64, g.N)
-		runCluster(g, p, func(rt *Runtime) {
-			rt.Fused = mode == 1
-			f := rt.NewField(^uint64(0), minU64)
-			for lv := 0; lv < rt.HG.NumLocal; lv++ {
-				f.Apply(uint32(lv), uint64(rt.HG.L2G[lv])+uint64(rt.Host.Rank)*3)
-			}
-			rt.Host.Barrier()
-			f.SyncReduce()
-			rt.Host.Barrier()
-			for lv := 0; lv < rt.HG.NumMasters; lv++ {
-				vals[rt.HG.L2G[lv]] = f.Get(uint32(lv))
-			}
-		})
-		results[mode] = vals
-	}
-	for v := range results[0] {
-		if results[0][v] != results[1][v] {
-			t.Fatalf("vertex %d: exchange %d vs fused %d", v, results[0][v], results[1][v])
-		}
-	}
-}
-
 // TestFieldTagAllocatorReserved: allocating fields past the reserved
 // cluster.CollectiveTag must panic instead of silently colliding with the
 // out-of-process collective traffic.

@@ -117,15 +117,6 @@ func msgSize(list, count int) int {
 	return 4 + (list+7)/8 + 8*count
 }
 
-// fusedLayer is the optional tighter LCI integration (§VI future work):
-// per-peer gather buffers enter the network from the compute threads as
-// they complete instead of waiting for the full gather phase.
-type fusedLayer interface {
-	BeginFused(tag uint32) uint32
-	SendFused(thread, peer int, eff uint32, data []byte)
-	FinishFused(eff uint32, expect []bool, onRecv func(peer int, data []byte))
-}
-
 // Get reads the current value of local proxy lv.
 func (f *Field) Get(lv uint32) uint64 {
 	if f.single {
@@ -200,28 +191,10 @@ func (f *Field) Sync() {
 // SyncReduce ships updated mirror values to their masters and combines them
 // with the reduction operator. Shipped mirrors are reset to the identity so
 // a value reduces into its master exactly once.
-//
-// When the runtime's Fused mode is on and the layer supports thread-direct
-// sends (LCI), each peer's buffer is injected by the gathering compute
-// thread the moment it completes, overlapping gather with injection.
 func (f *Field) SyncReduce() {
 	rt := f.rt
 	hg := rt.HG
 	start := time.Now()
-
-	if fl, ok := rt.Host.Layer.(fusedLayer); ok && rt.Fused {
-		eff := fl.BeginFused(f.tagReduce)
-		rt.Host.Pool.For(hg.P, func(p int) {
-			if buf := f.gather(hg.MirrorsHere[p], true); buf != nil && p != hg.Host {
-				fl.SendFused(p, p, eff, buf)
-			}
-		})
-		fl.FinishFused(eff, f.reduceExpect, func(peer int, data []byte) {
-			f.scatter(hg.MastersFor[peer], data, true)
-		})
-		rt.CommTime += time.Since(start)
-		return
-	}
 
 	out := make([][]byte, hg.P)
 	rt.Host.Pool.For(hg.P, func(p int) {

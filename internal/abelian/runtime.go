@@ -37,14 +37,9 @@ type Runtime struct {
 	HG   *partition.HostGraph
 	Pol  partition.Policy
 
-	// Health, if set, receives NoteRound/Pump once per BSP round — from
-	// RecordRound (the path every app takes) or EndRound.
+	// Health, if set, receives NoteRound/Pump once per BSP round, from
+	// RecordRound.
 	Health HealthSink
-
-	// Fused enables the tighter LCI integration of §VI (future work):
-	// gather buffers are injected from the compute threads as they
-	// complete. Ignored for layers without thread-direct sends.
-	Fused bool
 
 	nextTag uint32
 	fields  []*Field
@@ -135,19 +130,4 @@ func (rt *Runtime) RecordRound() {
 	rt.lastCompute = rt.ComputeTime
 	rt.lastComm = rt.CommTime
 	rt.lastMsgs, rt.lastBytes = msgs, bytes
-}
-
-// EndRound closes a BSP round: it synchronizes the given fields (reduce,
-// then broadcast where the policy requires it), counts the round, and
-// returns the global number of activations for quiescence detection.
-func (rt *Runtime) EndRound(localActivations int64, fields ...*Field) int64 {
-	for _, f := range fields {
-		f.Sync()
-	}
-	rt.Rounds++
-	start := time.Now()
-	total := rt.Host.AllreduceSum(localActivations)
-	rt.CommTime += time.Since(start)
-	rt.noteHealthRound()
-	return total
 }

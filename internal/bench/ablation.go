@@ -12,33 +12,10 @@ import (
 	"lcigraph/internal/mpi"
 )
 
-// Ablations quantify the design choices DESIGN.md §5 calls out: LCI's
-// gather-send fusion (the paper's §VI future work), MPI's ordering
-// guarantee, the probe layer's small-message aggregation, and the packet
+// Ablations quantify the design choices DESIGN.md §5 calls out: MPI's
+// ordering guarantee, the probe layer's small-message aggregation, Gemini's
+// adaptive sparse/dense engine, direction-optimizing BFS, and the packet
 // pool's locality shards.
-
-// AblationFused compares the standard Exchange path against the fused
-// gather-send integration on Abelian + LCI.
-func AblationFused(e ExpConfig) string {
-	g := e.inputs()["rmat"]
-	p := e.Hosts[len(e.Hosts)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: LCI gather-send fusion (Abelian, rmat, P=%d)\n", p)
-	for _, app := range []string{"pagerank", "sssp"} {
-		for _, fused := range []bool{false, true} {
-			cfg := Config{App: app, Layer: LCI, Hosts: p, Threads: e.Threads,
-				Source: 1, PRIters: e.PRIters, Fused: fused}
-			mean, res := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
-			name := "exchange"
-			if fused {
-				name = "fused"
-			}
-			fmt.Fprintf(&b, "  %-9s %-9s total %12s  comm(max) %12s\n",
-				app, name, mean.Round(time.Microsecond), res.MaxComm().Round(time.Microsecond))
-		}
-	}
-	return b.String()
-}
 
 // AblationAdaptive compares Gemini's pure sparse push against the adaptive
 // sparse/dense engine on cc, whose full initial frontier rewards dense

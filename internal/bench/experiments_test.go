@@ -29,7 +29,6 @@ func TestExperimentDriversSmoke(t *testing.T) {
 		{"Table2", Table2(e), []string{"omnipath", "infiniband"}},
 		{"Table4", Table4(e), []string{"intelmpi", "mvapich2", "openmpi"}},
 		{"Portability", Portability(e), []string{"sockets"}},
-		{"AblationFused", AblationFused(e), []string{"fused", "exchange"}},
 		{"AblationOrdering", AblationOrdering(e), []string{"ordered", "unordered"}},
 		{"AblationAggregation", AblationAggregation(e), []string{"aggregated", "naive"}},
 		{"AblationAdaptive", AblationAdaptive(e), []string{"sparse only", "adaptive"}},

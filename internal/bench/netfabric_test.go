@@ -8,7 +8,7 @@ import (
 )
 
 // TestUDPTransportAbelian: the full Abelian stack — LCI layer, core
-// endpoint, coalescer — over real loopback UDP sockets produces results
+// endpoint, LCI port — over real loopback UDP sockets produces results
 // identical to the in-process simulator (oracle-verified).
 func TestUDPTransportAbelian(t *testing.T) {
 	g := graph.Named("web", 8, 11)

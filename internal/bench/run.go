@@ -61,9 +61,6 @@ type Config struct {
 	// Fault injects datagram loss/duplication/reordering on the UDP
 	// transport (Transport == "udp" only).
 	Fault netfabric.Fault
-	// Fused enables the LCI gather-send fusion extension (Abelian + LCI
-	// only; see internal/abelian.Runtime.Fused).
-	Fused bool
 	// NoAggregation disables the probe layer's buffered network layer
 	// (ablation: the naive per-message baseline of §III-B).
 	NoAggregation bool
@@ -282,7 +279,6 @@ func RunAbelian(g *graph.Graph, cfg Config) *Result {
 		start := time.Now()
 		hg := pt.Hosts[h.Rank]
 		rt := abelian.New(h, hg, partition.VertexCut)
-		rt.Fused = cfg.Fused
 		rt.Trace = cfg.Trace
 		switch cfg.App {
 		case "bfs":

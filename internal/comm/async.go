@@ -53,7 +53,7 @@ func asyncEff(tag uint32) uint32 { return effTag(tag, 0) }
 // PostTag implements AsyncLayer.
 func (l *LCILayer) PostTag(peer int, tag uint32, buf []byte) {
 	l.met.msgBytes.Observe(int64(len(buf)))
-	l.emit(l.workers[0], peer, asyncEff(tag), buf, nil, true)
+	l.emit(l.workers[0], peer, asyncEff(tag), buf, true)
 }
 
 // RecvTag implements AsyncLayer. On a stash miss it polls with one inline

@@ -23,18 +23,18 @@ const (
 )
 
 // bufCache is an LCI port's buffer recycler: the gather buffers AllocBuf
-// hands out, the rendezvous receive buffers (it is the port's
-// lci.Allocator) and the coalescer's staging bundles all come from it and go
-// back to it, so a steady stream of messages of similar sizes reuses the same
-// few buffers instead of allocating per message — the paper's "allocator can
-// be any thread-safe memory manager" (Fig. 5).
+// hands out and the rendezvous receive buffers (it is the port's
+// lci.Allocator) come from it and go back to it, so a steady stream of
+// messages of similar sizes reuses the same few buffers instead of
+// allocating per message — the paper's "allocator can be any thread-safe
+// memory manager" (Fig. 5).
 //
 // Alloc/Free are the tracked pair: a buffer is charged to the tracker at its
 // capacity (the bytes the host really holds) when it leaves the cache and
 // uncharged at the same capacity when it comes back, so a sender that ships
 // a shortened slice (Gemini's partial batch) frees exactly what AllocBuf
-// charged. get/put are the untracked pair for pool-like internals. Parked
-// buffers are never charged. Safe for concurrent use.
+// charged. get/put are the untracked pair underneath them. Parked buffers
+// are never charged. Safe for concurrent use.
 type bufCache struct {
 	tracker *memtrack.Tracker
 

@@ -17,11 +17,10 @@ const maxStreamThreads = 64
 // lciPort is the LCI send/receive core under LCILayer and LCIStream — the
 // paper's "each sending/receiving thread uses LCI Queue" glue, written once:
 // SEND-ENQ with retry and in-flight bookkeeping, RECV-DEQ with rendezvous
-// completion and bundle unpacking, and a communication server progressing
-// the network. Every send leaves through emit as it is handed over; only
-// LCILayer's fused sends bundle first (its coalescer). The owner adds its
-// receive discipline: every received logical message goes to deliver, from
-// the goroutine that called poll.
+// completion, and a communication server progressing the network. Every
+// send leaves through emit as it is handed over: one message, one SEND-ENQ.
+// The owner adds its receive discipline: every received message goes to
+// deliver, from the goroutine that called poll.
 type lciPort struct {
 	// ep is the rank's progress-shard set: one endpoint (and one progress
 	// goroutine) at Options.Shards ≤ 1, K of everything above that. The
@@ -30,19 +29,18 @@ type lciPort struct {
 	// never contend on the same pool partition or queues.
 	ep      *lci.Sharded
 	tracker memtrack.Tracker
-	// cache recycles the port's gather and rendezvous buffers, and the
-	// layer's bundle staging buffers (bufcache.go); it charges tracker.
+	// cache recycles the port's gather and rendezvous buffers
+	// (bufcache.go); it charges tracker.
 	cache bufCache
 
 	// workers maps compute-thread indices to pool worker ids; workers[0]
-	// doubles as the owner goroutine's (Exchange, flushes, Stop).
+	// doubles as the owner goroutine's (Exchange, PostTag, Stop).
 	workers [maxStreamThreads]int
 
 	met layerMetrics
 
-	// deliver receives each completed logical message (bundles already
-	// unpacked). Only the owner's receive goroutine calls poll, so deliver
-	// and pendingRecv need no lock.
+	// deliver receives each completed message. Only the owner's receive
+	// goroutine calls poll, so deliver and pendingRecv need no lock.
 	deliver func(Message)
 	// pendingRecv holds incomplete receive requests (rendezvous in flight).
 	pendingRecv []*lci.Request
@@ -57,28 +55,17 @@ type lciPort struct {
 }
 
 type sendInFlight struct {
-	req  *lci.Request
-	buf  []byte
-	done func() // completion action; defaults to returning buf to the cache
-}
-
-// finish runs the in-flight send's completion action once its buffer is
-// reusable.
-func (s sendInFlight) finish(c *bufCache) {
-	if s.done != nil {
-		s.done()
-	} else {
-		c.Free(s.buf)
-	}
+	req *lci.Request
+	buf []byte // returns to the cache once req is done
 }
 
 // start builds the port in place over a fabric provider and starts its
 // communication server. Eager payloads travel in pooled packets and frames;
-// every other communication buffer — gather buffers from AllocBuf,
-// rendezvous receive buffers (the cache is the endpoint's Allocator) and
-// the layer's coalescer bundles — recycles through the port's bounded
-// cache, which is why the LCI footprint stays small in Fig. 5 and
-// steady-state traffic allocates no buffers.
+// every other communication buffer — gather buffers from AllocBuf and
+// rendezvous receive buffers (the cache is the endpoint's Allocator) —
+// recycles through the port's bounded cache, which is why the LCI
+// footprint stays small in Fig. 5 and steady-state traffic allocates no
+// buffers.
 func (p *lciPort) start(fep fabric.Provider, opt lci.Options, deliver func(Message)) {
 	p.deliver = deliver
 	p.stop = make(chan struct{})
@@ -114,12 +101,11 @@ func (p *lciPort) AllocBuf(n int) []byte {
 	return b
 }
 
-// emit is the port's one SEND-ENQ (and the coalescer's send hook): retry on
-// pool exhaustion, then in-flight bookkeeping. done runs when data is
-// reusable (nil means "return data to the cache"). Every retry reaps
-// completed sends; drain additionally pumps receives, which only the receive
-// owner may do — compute threads must not touch the receive state.
-func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), drain bool) {
+// emit is the port's one SEND-ENQ: retry on pool exhaustion, then in-flight
+// bookkeeping; data returns to the cache once it is reusable. Every retry
+// reaps completed sends; drain additionally pumps receives, which only the
+// receive owner may do — compute threads must not touch the receive state.
+func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, drain bool) {
 	var spins int64
 	for {
 		r, ok := p.ep.SendEnq(worker, dst, tag, data)
@@ -127,10 +113,10 @@ func (p *lciPort) emit(worker, dst int, tag uint32, data []byte, done func(), dr
 			p.met.observeSpins(spins)
 			p.met.recordSend(dst, len(data), r.MsgID, spins)
 			if r.Done() {
-				sendInFlight{buf: data, done: done}.finish(&p.cache)
+				p.cache.Free(data)
 			} else {
 				p.sendMu.Lock()
-				p.pendingSend = append(p.pendingSend, sendInFlight{req: r, buf: data, done: done})
+				p.pendingSend = append(p.pendingSend, sendInFlight{req: r, buf: data})
 				p.sendMu.Unlock()
 			}
 			return
@@ -156,7 +142,7 @@ func (p *lciPort) reapSends() bool {
 	keep := p.pendingSend[:0]
 	for _, s := range p.pendingSend {
 		if s.req.Done() {
-			s.finish(&p.cache)
+			p.cache.Free(s.buf)
 			worked = true
 		} else {
 			keep = append(keep, s)
@@ -173,9 +159,9 @@ func (p *lciPort) reapSends() bool {
 // boolean-type status of each request". It reports whether anything moved.
 func (p *lciPort) poll() bool { return p.pollWith(false) }
 
-// pollInline is poll for the owner's receive waits (RecvTag, Exchange's
-// recvEpoch): when RECV-DEQ comes back empty it runs one progress pass on
-// the owner's goroutine instead of waiting for the communication server.
+// pollInline is poll for the owner's receive waits (RecvTag, Exchange):
+// when RECV-DEQ comes back empty it runs one progress pass on the owner's
+// goroutine instead of waiting for the communication server.
 // That pass also flushes the provider's deferred transmits, so sends the
 // owner posted since its last wait leave now.
 func (p *lciPort) pollInline() bool { return p.pollWith(true) }
@@ -225,8 +211,6 @@ func (p *lciPort) recvDeq() bool {
 // wire frames, charged while held and recycled to the fabric on release.
 // The protocol is told by size, as SEND-ENQ chose it: Done() after RECV-DEQ
 // cannot tell, since a rendezvous may land before the first check.
-// A coalesced bundle unpacks into one delivery per record, all sharing the
-// frame; a malformed one is dropped whole and counted.
 func (p *lciPort) complete(r *lci.Request) {
 	n := len(r.Data)
 	eager := n <= p.ep.EagerLimit()
@@ -234,17 +218,12 @@ func (p *lciPort) complete(r *lci.Request) {
 		p.tracker.Alloc(n)
 	}
 	p.met.recordRecv(r.Rank, n, r.MsgID)
-	m := Message{
+	p.deliver(Message{
 		Peer:    r.Rank,
 		Tag:     r.Tag,
 		Data:    r.Data,
 		release: func() { p.releaseRecv(r, eager) },
-	}
-	if m.Tag&coalFlag == 0 {
-		p.deliver(m)
-	} else if !unpackBundle(m, p.deliver) {
-		p.met.badBundles.Inc()
-	}
+	})
 }
 
 // releaseRecv returns a received request's buffer: an eager payload's frame
@@ -262,11 +241,11 @@ func (p *lciPort) releaseRecv(r *lci.Request, eager bool) {
 	p.cache.Free(b)
 }
 
-// drain is Stop's shutdown: it waits until every send and every rendezvous
-// receive has completed, then stops the communication server and waits for
-// it to exit — the server releases a completion's frame only after marking
-// the request done. Only the receive owner may call it.
-func (p *lciPort) drain() {
+// Stop implements Layer and Stream: it waits until every send and every
+// rendezvous receive has completed, then stops the communication server and
+// waits for it to exit — the server releases a completion's frame only after
+// marking the request done. Only the receive owner may call it.
+func (p *lciPort) Stop() {
 	for {
 		p.sendMu.Lock()
 		n := len(p.pendingSend)

@@ -10,10 +10,16 @@ import (
 // process running an LCI layer next to an MPI baseline keeps their traffic
 // profiles separate; everything else is shared across layers.
 const (
+	// MetricBundleRecords is the records-per-bundle histogram of the probe
+	// layer's MPI bundles.
 	MetricBundleRecords  = "lci_comm_bundle_records"
 	MetricSendRetrySpins = "lci_comm_send_retry_spins"
-	MetricMsgsCoalesced  = "lci_comm_msgs_coalesced_total"
-	MetricBundles        = "lci_comm_bundles_total"
+
+	// MetricMsgsCoalesced and MetricBundles are registered by no layer: the
+	// LCI layers ship every message as one SEND-ENQ and bundle nothing. The
+	// names stay for readers that still look them up, which read 0.
+	MetricMsgsCoalesced = "lci_comm_msgs_coalesced_total"
+	MetricBundles       = "lci_comm_bundles_total"
 
 	// metricBadBundles counts received bundles dropped whole for malformed
 	// record framing.
@@ -91,17 +97,4 @@ func (m *layerMetrics) recordRecv(peer, size int, msgid uint64) {
 		return
 	}
 	m.tr.Record(tracing.EvLayerRecv, peer, tracing.ProtoNone, size, msgid)
-}
-
-// initTelemetry wires the coalescer's counters and bundle-occupancy
-// histogram into reg. The existing atomics stay authoritative (read at
-// snapshot time); only the records-per-bundle distribution needs a live
-// histogram.
-func (c *coalescer) initTelemetry(reg *telemetry.Registry) {
-	if !reg.Enabled() {
-		return
-	}
-	c.recHist = reg.Histogram(MetricBundleRecords)
-	reg.CounterFunc(MetricMsgsCoalesced, c.msgsCoalesced.Load)
-	reg.CounterFunc(MetricBundles, c.coalescedFrames.Load)
 }

@@ -167,7 +167,7 @@ func (l *ProbeLayer) Exchange(tag uint32, out [][]byte, expect []bool, recvMax [
 
 // ---- communication thread ----
 
-// Bundles use the shared record framing from coalesce.go:
+// Bundles use the record framing of bundle.go:
 // eff u32 | len u32 | payload.
 
 type aggBuf struct {

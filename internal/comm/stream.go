@@ -69,14 +69,11 @@ func (s *LCIStream) Arrivals() <-chan struct{} {
 	return s.ep.Arrivals()
 }
 
-// Stop implements Stream.
-func (s *LCIStream) Stop() { s.drain() }
-
 // SendMsg implements Stream. A compute thread never pumps the receive path,
 // so a back-pressured send only reaps completed sends while it retries.
 func (s *LCIStream) SendMsg(thread, peer int, tag uint32, data []byte) {
 	s.met.msgBytes.Observe(int64(len(data)))
-	s.emit(s.workers[thread%maxStreamThreads], peer, tag, data, nil, false)
+	s.emit(s.workers[thread%maxStreamThreads], peer, tag, data, false)
 }
 
 // RecvMsg implements Stream.

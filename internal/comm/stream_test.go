@@ -204,3 +204,88 @@ func TestLCIStreamDoorbell(t *testing.T) {
 		t.Error("udp layer: no doorbell")
 	}
 }
+
+// TestStreamSendsDirect runs concurrent sender threads with mixed tags and
+// sizes spanning the eager limit through an LCI stream. Every SendMsg must
+// leave as exactly one SEND-ENQ: each message under the eager limit is one
+// eager frame carrying exactly its payload, and each larger one is one
+// rendezvous RTS answered by one RTR. Payloads arrive
+// intact and every pooled frame returns to the fabric after Stop.
+func TestStreamSendsDirect(t *testing.T) {
+	fab := fabric.New(2, fabric.TestProfile())
+	snd := NewLCIStream(fab.Endpoint(0), lci.Options{})
+	rcv := NewLCIStream(fab.Endpoint(1), lci.Options{})
+
+	const threads, per = 3, 50
+	// About one message in six exceeds TestProfile's 1 KiB eager limit.
+	size := func(th, i int) int { return 16 + (th*per+i)*37%1200 }
+	var wg sync.WaitGroup
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				buf := snd.AllocBuf(size(th, i))
+				for j := range buf {
+					buf[j] = byte(th)
+				}
+				snd.SendMsg(th, 1, uint32(th), buf)
+			}
+		}(th)
+	}
+	var got [threads]int
+	for n := 0; n < threads*per; {
+		snd.RecvMsg() // sender-side pump: reaps completed sends
+		m, ok := rcv.RecvMsg()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		th := int(m.Tag)
+		for _, by := range m.Data {
+			if by != byte(th) {
+				t.Fatalf("corrupt payload for tag %d", th)
+			}
+		}
+		got[th] += len(m.Data)
+		m.Release()
+		n++
+	}
+	wg.Wait()
+	snd.Stop()
+	rcv.Stop()
+
+	var eager, rdv, eagerBytes int64
+	for th := 0; th < threads; th++ {
+		sent := 0
+		for i := 0; i < per; i++ {
+			n := size(th, i)
+			sent += n
+			if n <= snd.ep.EagerLimit() {
+				eager++
+				eagerBytes += int64(n)
+			} else {
+				rdv++
+			}
+		}
+		if got[th] != sent {
+			t.Fatalf("tag %d: got %d bytes, sent %d", th, got[th], sent)
+		}
+	}
+	if eager == 0 || rdv == 0 {
+		t.Fatalf("sizes do not span the eager limit: %d eager, %d rendezvous", eager, rdv)
+	}
+	ss, rs := fab.Endpoint(0).Stats(), fab.Endpoint(1).Stats()
+	if ss.SendFrames != eager+rdv {
+		t.Errorf("sender shipped %d frames, want %d eager + %d RTS", ss.SendFrames, eager, rdv)
+	}
+	if ss.SendBytes != eagerBytes {
+		t.Errorf("sender frames carried %d bytes, want the %d eager payload bytes", ss.SendBytes, eagerBytes)
+	}
+	if rs.SendFrames != rdv {
+		t.Errorf("receiver shipped %d frames, want %d RTR", rs.SendFrames, rdv)
+	}
+	if n := fab.FramesOutstanding(); n != 0 {
+		t.Fatalf("%d frames still outstanding", n)
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// TestTracingLossyUDPPairsMsgIDs runs 2-rank fused epochs over real loopback
+// TestTracingLossyUDPPairsMsgIDs runs 2-rank Exchange rounds over real loopback
 // UDP with injected loss and checks the cross-rank correlation contract:
 // every message a rank received carries a msgid that the peer's SEND-ENQ
 // recorded, exactly once — retransmissions and duplicated datagrams must
@@ -49,15 +49,15 @@ func TestTracingLossyUDPPairsMsgIDs(t *testing.T) {
 			defer wg.Done()
 			l := layers[r]
 			peer := 1 - r
-			// One message per peer per fused epoch: the coalescer ships a
-			// lone message plain, so each one gets its own SEND-ENQ (and
-			// msgid).
+			// One message to the peer per round, each its own SEND-ENQ
+			// (and msgid).
+			out := make([][]byte, p)
+			expect := make([]bool, p)
+			expect[peer] = true
 			for i := 0; i < msgs; i++ {
-				eff := l.BeginFused(77)
-				buf := l.AllocBuf(48)
-				copy(buf, payload(r, i))
-				l.SendFused(0, peer, eff, buf)
-				l.FinishFusedCount(eff, 1, func(pr int, data []byte) {
+				out[peer] = l.AllocBuf(48)
+				copy(out[peer], payload(r, i))
+				l.Exchange(77, out, expect, nil, func(pr int, data []byte) {
 					if pr != peer || !bytes.Equal(data, payload(peer, i)) {
 						t.Errorf("rank %d: message %d corrupt or misordered from %d", r, i, pr)
 					}

@@ -1,8 +1,8 @@
 // Package concurrent provides the lock-free and low-lock queue primitives the
 // LCI runtime is built on: a bounded fetch-and-add MPMC ring (used for the
-// incoming-packet queue and the packet-pool freelist), a multi-producer
+// incoming-packet queue and the packet-pool freelist) and a multi-producer
 // single-consumer queue (used by the buffered MPI layer to funnel sends into
-// the dedicated communication thread), and an unbounded SPSC queue.
+// the dedicated communication thread).
 //
 // The MPMC ring follows the fetch-and-add design the paper cites for its
 // incoming-packet queue: producers and consumers claim slots with atomic

@@ -239,59 +239,6 @@ func TestMPSCConcurrent(t *testing.T) {
 	}
 }
 
-func TestSPSCBasic(t *testing.T) {
-	q := NewSPSC[int](3) // rounds to 4
-	if q.Cap() != 4 {
-		t.Fatalf("cap = %d", q.Cap())
-	}
-	for i := 0; i < 4; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if q.Push(9) {
-		t.Fatal("push succeeded on full queue")
-	}
-	if q.Len() != 4 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	for i := 0; i < 4; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %d,%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop succeeded on empty queue")
-	}
-}
-
-func TestSPSCConcurrent(t *testing.T) {
-	const n = 100000
-	q := NewSPSC[int](16)
-	go func() {
-		for i := 0; i < n; i++ {
-			for !q.Push(i) {
-				runtime.Gosched()
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			if v != i {
-				t.Errorf("pop = %d want %d", v, i)
-				return
-			}
-			break
-		}
-	}
-}
-
 func BenchmarkMPMCEnqDeq(b *testing.B) {
 	q := NewMPMC[int](1024)
 	b.RunParallel(func(pb *testing.PB) {

@@ -26,9 +26,6 @@ type heapAllocator struct{}
 func (heapAllocator) Alloc(n int) []byte { return make([]byte, n) }
 func (heapAllocator) Free([]byte)        {}
 
-// DefaultAllocator returns the plain heap allocator.
-func DefaultAllocator() Allocator { return heapAllocator{} }
-
 // Options configures an Endpoint.
 type Options struct {
 	// PoolPackets is the packet-pool size; it caps the injection rate.

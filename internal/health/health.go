@@ -21,9 +21,10 @@
 //
 // Threading model: the sampling ticker runs on the Monitor's own goroutine
 // and never touches the comm layer. All layer traffic happens in Pump,
-// which the layer-owning goroutine calls from its loop (abelian's EndRound,
-// serve's coordinator/worker loops) per the AsyncLayer single-driver
-// contract; Pump rate-limits itself, so calling it every iteration is free.
+// which the layer-owning goroutine calls from its loop (abelian's
+// RecordRound, serve's coordinator/worker loops) per the AsyncLayer
+// single-driver contract; Pump rate-limits itself, so calling it every
+// iteration is free.
 package health
 
 import (
@@ -207,7 +208,7 @@ type Monitor struct {
 	started   atomic.Bool
 	closeOnce sync.Once
 
-	// BSP round signal fed by abelian.Runtime.EndRound via NoteRound.
+	// BSP round signal fed by abelian.Runtime.RecordRound via NoteRound.
 	rounds    atomic.Int64
 	barrierNs atomic.Int64
 

@@ -182,9 +182,6 @@ func MsgID(rank int, seq uint32) uint64 {
 // MsgIDRank extracts the sending rank from a global message id.
 func MsgIDRank(id uint64) int { return int(id >> MsgIDBits) }
 
-// MsgIDSeq extracts the 24-bit wire sequence from a global message id.
-func MsgIDSeq(id uint64) uint32 { return uint32(id & MsgIDMask) }
-
 // Event is one decoded ring entry.
 type Event struct {
 	TS    int64 // wall-clock, ns since the Unix epoch
