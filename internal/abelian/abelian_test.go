@@ -1,6 +1,7 @@
 package abelian
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -106,6 +107,77 @@ func TestFieldWritePaths(t *testing.T) {
 			for lv := 0; lv < hg.NumLocal; lv++ {
 				if v, want := f.Get(uint32(lv)), uint64(hg.L2G[lv])+1000; v != want {
 					t.Errorf("threads=%d host %d: proxy of %d = %d, want %d", threads, rt.Host.Rank, hg.L2G[lv], v, want)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyEachMatchesApply: ApplyEach over every local vertex's neighbor
+// list leaves the same values, bit for bit, and the same updated marks as
+// one Apply per neighbor, on the single-writer path (1 thread) and the
+// atomic one (2 threads). A float add is order-sensitive, so equal bits
+// mean equal merge order; a min marks only the proxies it changed.
+func TestApplyEachMatchesApply(t *testing.T) {
+	g := graph.RMAT(8, 8, 3, 1)
+	addF64 := func(a, b uint64) uint64 {
+		return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
+	}
+	for _, threads := range []int{1, 2} {
+		runClusterThreads(g, 2, threads, func(rt *Runtime) {
+			hg := rt.HG
+			for _, red := range []struct {
+				name     string
+				identity uint64
+				reduce   func(a, b uint64) uint64
+				val      func(u int) uint64
+			}{
+				{"float add", 0, addF64, func(u int) uint64 { return math.Float64bits(1 / float64(u+3)) }},
+				{"min", ^uint64(0), minU64, func(u int) uint64 { return uint64(u % 17) }},
+			} {
+				bulk := rt.NewField(red.identity, red.reduce)
+				each := rt.NewField(red.identity, red.reduce)
+				for u := 0; u < hg.NumLocal; u++ {
+					bulk.ApplyEach(hg.Local.Neighbors(u), red.val(u))
+					for _, v := range hg.Local.Neighbors(u) {
+						each.Apply(v, red.val(u))
+					}
+				}
+				for lv := 0; lv < hg.NumLocal; lv++ {
+					if a, b := bulk.Get(uint32(lv)), each.Get(uint32(lv)); a != b {
+						t.Errorf("threads=%d %s host %d: proxy %d = %#x by ApplyEach, %#x by Apply",
+							threads, red.name, rt.Host.Rank, lv, a, b)
+					}
+				}
+				if a, b := bulk.UpdatedCount(), each.UpdatedCount(); a != b || a == 0 {
+					t.Errorf("threads=%d %s host %d: UpdatedCount %d by ApplyEach, %d by Apply",
+						threads, red.name, rt.Host.Rank, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestSyncBroadcastClearsMastersOnly: the broadcast clears the updated
+// marks of masters and leaves those of mirrors alone (a mirror's mark
+// belongs to the next reduce).
+func TestSyncBroadcastClearsMastersOnly(t *testing.T) {
+	g := graph.Complete(12)
+	for _, threads := range []int{1, 2} {
+		runClusterThreads(g, 3, threads, func(rt *Runtime) {
+			hg := rt.HG
+			f := rt.NewField(^uint64(0), minU64)
+			for lv := 0; lv < hg.NumLocal; lv++ {
+				f.Apply(uint32(lv), uint64(lv))
+			}
+			if hg.NumLocal == hg.NumMasters {
+				t.Fatalf("host %d holds no mirrors", rt.Host.Rank)
+			}
+			f.SyncBroadcast()
+			for lv := 0; lv < hg.NumLocal; lv++ {
+				if got, want := f.updated.Test(lv), !hg.IsMaster(uint32(lv)); got != want {
+					t.Errorf("threads=%d host %d: proxy %d (master %v) updated = %v after broadcast",
+						threads, rt.Host.Rank, lv, hg.IsMaster(uint32(lv)), got)
 				}
 			}
 		})

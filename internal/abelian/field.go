@@ -22,11 +22,13 @@ import (
 //
 //   - one thread (single-writer): every access runs sequentially, on the
 //     pool's one worker or on the rank's goroutine between Pool.For calls,
-//     whose fork-join orders the two. Apply, Set, Get and the sync
-//     gather/scatter use plain loads and stores.
+//     whose fork-join orders the two. Apply, ApplyEach, Set, Get and the
+//     sync gather/scatter use plain loads and stores, on the values and on
+//     the updated bitset (bitset.NewSingleWriter).
 //   - two or more threads: Apply is a CAS loop, the gather reset and the
-//     broadcast overwrite are atomic swaps, and Get is an atomic load, so
-//     any compute thread may write any proxy concurrently.
+//     broadcast overwrite are atomic swaps, Get is an atomic load, and the
+//     updated bits are set and cleared by CAS, so any compute thread may
+//     write any proxy concurrently.
 //
 // Sync ships only updated entries, using a bitmap over the statically-known
 // per-peer sync lists so no per-element indices travel.
@@ -55,11 +57,16 @@ type Field struct {
 // NewField creates a field initialized to identity everywhere.
 func (rt *Runtime) NewField(identity uint64, reduce func(a, b uint64) uint64) *Field {
 	hg := rt.HG
+	single := rt.Host.Pool.Workers() == 1
+	newBits := bitset.New
+	if single {
+		newBits = bitset.NewSingleWriter
+	}
 	f := &Field{
 		rt:        rt,
 		vals:      make([]uint64, hg.NumLocal),
-		single:    rt.Host.Pool.Workers() == 1,
-		updated:   bitset.New(hg.NumLocal),
+		single:    single,
+		updated:   newBits(hg.NumLocal),
 		identity:  identity,
 		reduce:    reduce,
 		tagReduce: rt.nextTag,
@@ -177,6 +184,28 @@ func (f *Field) Apply(lv uint32, v uint64) bool {
 	}
 }
 
+// ApplyEach applies v to every proxy in lvs, in order, exactly as one Apply
+// call per element would (the same merges, so the same bits). A
+// single-writer field runs it as one loop over its values, with no call per
+// element but the reduction; with more compute threads it is per-element
+// Apply.
+func (f *Field) ApplyEach(lvs []uint32, v uint64) {
+	if !f.single {
+		for _, lv := range lvs {
+			f.Apply(lv, v)
+		}
+		return
+	}
+	vals, reduce, updated := f.vals, f.reduce, f.updated
+	for _, lv := range lvs {
+		old := vals[lv]
+		if merged := reduce(old, v); merged != old {
+			vals[lv] = merged
+			updated.Set(int(lv))
+		}
+	}
+}
+
 // Sync performs the policy-appropriate synchronization: reduce
 // (mirrors→masters) always, broadcast (masters→mirrors) when the
 // partitioning policy replicates read vertices (§II's partition-aware
@@ -214,9 +243,10 @@ func (f *Field) SyncBroadcast() {
 	hg := rt.HG
 	start := time.Now()
 
+	// No reset here: a master may appear in many peers' lists.
 	out := make([][]byte, hg.P)
 	rt.Host.Pool.For(hg.P, func(p int) {
-		out[p] = f.gatherNoReset(hg.MastersFor[p])
+		out[p] = f.gather(hg.MastersFor[p], false)
 	})
 
 	rt.Host.Layer.Exchange(f.tagBcast, out, f.bcastExpect, f.bcastRecvMax,
@@ -224,9 +254,9 @@ func (f *Field) SyncBroadcast() {
 			f.scatter(hg.MirrorsHere[peer], data, false)
 		})
 
-	// A master may appear in many peers' lists; only clear after all
-	// gathers are done.
-	f.updated.ForEachRange(0, hg.NumMasters, func(i int) { f.updated.Clear(i) })
+	// Masters are local ids [0, NumMasters); clear them only after every
+	// gather ran.
+	f.updated.ClearRange(0, hg.NumMasters)
 	rt.CommTime += time.Since(start)
 }
 
@@ -285,10 +315,6 @@ func (f *Field) gather(list []uint32, reset bool) []byte {
 	}
 	return buf
 }
-
-// gatherNoReset is gather(list, false) — used by broadcast, which must not
-// clear bits until every peer's gather ran.
-func (f *Field) gatherNoReset(list []uint32) []byte { return f.gather(list, false) }
 
 // scatter applies one incoming sync message over list. When combine is true
 // (reduce) values merge through the reduction operator and mark masters

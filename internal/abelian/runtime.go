@@ -70,24 +70,13 @@ func New(h *cluster.Host, hg *partition.HostGraph, pol partition.Policy) *Runtim
 	return &Runtime{Host: h, HG: hg, Pol: pol}
 }
 
-// timeCompute runs fn and accounts its wall time as computation.
-func (rt *Runtime) timeCompute(fn func()) {
+// Compute runs fn, which drives the host's compute threads through
+// Host.Pool, and accounts its wall time as computation.
+func (rt *Runtime) Compute(fn func()) {
 	start := time.Now()
 	fn()
 	rt.ComputeTime += time.Since(start)
 }
-
-// timeComm runs fn and accounts its wall time as (non-overlapped)
-// communication.
-func (rt *Runtime) timeComm(fn func()) {
-	start := time.Now()
-	fn()
-	rt.CommTime += time.Since(start)
-}
-
-// Compute runs fn on the host's compute threads, timed as computation.
-// fn receives the worker pool for parallel loops.
-func (rt *Runtime) Compute(fn func()) { rt.timeCompute(fn) }
 
 // noteHealthRound feeds the health sink one finished round and the comm
 // time accumulated since the last note. It runs on the goroutine that owns

@@ -175,10 +175,7 @@ func PageRank(rt *abelian.Runtime, iters int) *abelian.Field {
 					return
 				}
 				contrib := math.Float64frombits(rank.Get(uint32(u))) / float64(du)
-				cb := math.Float64bits(contrib)
-				for _, v := range hg.Local.Neighbors(u) {
-					acc.Apply(v, cb)
-				}
+				acc.ApplyEach(hg.Local.Neighbors(u), math.Float64bits(contrib))
 			})
 		})
 		acc.SyncReduce()

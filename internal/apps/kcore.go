@@ -74,9 +74,7 @@ func KCore(rt *abelian.Runtime, k uint64) (*abelian.Field, int) {
 			rt.Host.Pool.ForRange(hg.NumLocal, func(lo, hi int) {
 				newlyDead.ForEachRange(lo, hi, func(u int) {
 					newlyDead.Clear(u)
-					for _, v := range hg.Local.Neighbors(u) {
-						decs.Apply(v, 1)
-					}
+					decs.ApplyEach(hg.Local.Neighbors(u), 1)
 				})
 			})
 		})

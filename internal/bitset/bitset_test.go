@@ -126,6 +126,119 @@ func TestRangeOps(t *testing.T) {
 	}
 }
 
+// modes builds a bitset in each write mode.
+var modes = []struct {
+	name string
+	new  func(n int) *Bitset
+}{{"concurrent", New}, {"single-writer", NewSingleWriter}}
+
+// TestClearRange: ClearRange clears exactly the bits in [lo, hi) that lie
+// in [0, Len), in both write modes, and leaves every other bit set.
+func TestClearRange(t *testing.T) {
+	const n = 200 // last word partly used
+	for _, m := range modes {
+		for _, tc := range []struct {
+			name   string
+			lo, hi int
+		}{
+			{"empty", 70, 70},
+			{"inverted", 90, 10},
+			{"one bit", 5, 6},
+			{"inside one word", 3, 60},
+			{"whole word", 64, 128},
+			{"word boundary", 63, 65},
+			{"across words", 10, 150},
+			{"hi past Len", 150, 1000},
+			{"lo below zero", -7, 3},
+			{"everything", 0, n},
+		} {
+			b := m.new(n)
+			for i := 0; i < n; i++ {
+				b.Set(i)
+			}
+			b.ClearRange(tc.lo, tc.hi)
+			for i := 0; i < n; i++ {
+				if want := i < tc.lo || i >= tc.hi; b.Test(i) != want {
+					t.Errorf("%s %s: ClearRange(%d,%d) left bit %d = %v, want %v",
+						m.name, tc.name, tc.lo, tc.hi, i, b.Test(i), want)
+				}
+			}
+		}
+	}
+}
+
+// TestSingleWriterMatchesConcurrent: the same random sequence of writes on
+// a single-writer and a concurrent bitset gives the same Set results and
+// the same bits.
+func TestSingleWriterMatchesConcurrent(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(7))
+	conc, single := New(n), NewSingleWriter(n)
+	for op := 0; op < 20000; op++ {
+		i, j := rng.Intn(n+1), rng.Intn(n+1)
+		switch rng.Intn(8) {
+		case 0, 1, 2, 3:
+			if i == n {
+				i--
+			}
+			if a, b := conc.Set(i), single.Set(i); a != b {
+				t.Fatalf("op %d: Set(%d) = %v concurrent, %v single-writer", op, i, a, b)
+			}
+		case 4, 5:
+			if i == n {
+				i--
+			}
+			conc.Clear(i)
+			single.Clear(i)
+		case 6:
+			conc.ClearRange(i, j)
+			single.ClearRange(i, j)
+		default:
+			if rng.Intn(50) == 0 {
+				conc.Reset()
+				single.Reset()
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if conc.Test(i) != single.Test(i) {
+			t.Fatalf("bit %d: %v concurrent, %v single-writer", i, conc.Test(i), single.Test(i))
+		}
+	}
+	if conc.Count() != single.Count() {
+		t.Fatalf("Count %d concurrent, %d single-writer", conc.Count(), single.Count())
+	}
+}
+
+// TestConcurrentClearRange: goroutines clearing adjacent ranges that share
+// boundary words, while others set bits in words no range touches, lose no
+// set and clear exactly their ranges.
+func TestConcurrentClearRange(t *testing.T) {
+	const n, span, workers = 1024, 50, 8 // ranges [0, 400): 50 is not a word multiple
+	b := New(n)
+	for i := 0; i < workers*span; i++ {
+		b.Set(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			b.ClearRange(g*span, (g+1)*span)
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			for i := 512 + g; i < n; i += workers {
+				b.Set(i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := b.Count(), n-512; got != want || b.CountRange(0, 512) != 0 {
+		t.Fatalf("Count = %d (%d below 512), want %d (0)", got, b.CountRange(0, 512), want)
+	}
+}
+
 // TestConcurrentSet checks that N goroutines setting disjoint random bits
 // lose nothing, and that exactly one Set per bit reports "newly set".
 func TestConcurrentSet(t *testing.T) {

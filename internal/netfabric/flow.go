@@ -23,32 +23,47 @@ type txPacket struct {
 // makes the retransmit scan O(due-packets) instead of O(window): entries at
 // the head are the oldest transmissions, so the scan stops at the first
 // entry whose timer has not expired.
+//
+// Packets are stored by value, and a retired slot keeps its encode buffer
+// for the next packet pushed into it: the ring is its own buffer free list,
+// holding at most one buffer per slot (the window bounds the slots).
 type txRing struct {
-	buf  []*txPacket
+	buf  []txPacket
 	head int
 	n    int
 }
 
 func (r *txRing) len() int { return r.n }
 
-func (r *txRing) push(tx *txPacket) {
+// push appends a packet with sequence number seq and returns it, its data
+// a size-byte buffer for the caller to encode into: the slot's own when it
+// is large enough, else a new one. The pointer is valid until the next push.
+func (r *txRing) push(seq uint32, size int) *txPacket {
 	if r.n == len(r.buf) {
-		grown := make([]*txPacket, max(2*len(r.buf), 16))
+		grown := make([]txPacket, max(2*len(r.buf), 16))
 		for i := 0; i < r.n; i++ {
-			grown[i] = r.at(i)
+			grown[i] = *r.at(i)
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = tx
+	tx := &r.buf[(r.head+r.n)%len(r.buf)]
+	buf := tx.data[:cap(tx.data)]
+	if len(buf) < size {
+		buf = make([]byte, size)
+	}
+	*tx = txPacket{seq: seq, data: buf[:size]}
 	r.n++
+	return tx
 }
 
-// at returns the i-th oldest entry (0 ≤ i < len).
-func (r *txRing) at(i int) *txPacket { return r.buf[(r.head+i)%len(r.buf)] }
+// at returns the i-th oldest entry (0 ≤ i < len). The pointer is valid
+// until the next push.
+func (r *txRing) at(i int) *txPacket { return &r.buf[(r.head+i)%len(r.buf)] }
 
+// popFront retires the oldest entry and returns it; its slot, buffer
+// included, is reused by a later push, so the pointer is valid until then.
 func (r *txRing) popFront() *txPacket {
-	tx := r.buf[r.head]
-	r.buf[r.head] = nil
+	tx := &r.buf[r.head]
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return tx

@@ -219,6 +219,7 @@ const readBatchLen = 16
 type Provider struct {
 	rank, size int
 	eagerLimit int
+	mtu        int // max datagram size: the length of every encode buffer
 	chunk      int // payload bytes per DATA datagram
 	window     uint32
 	credits    int
@@ -273,7 +274,6 @@ type Provider struct {
 	rs       atomic.Pointer[ringSet]
 	epShards int                             // configured progress-shard count (Capabilities)
 	frames   *concurrent.MPMC[*fabric.Frame] // provider frame free-list
-	txBufs   sync.Pool                       // datagram encode buffers
 
 	fault *faultInjector
 
@@ -410,6 +410,7 @@ func New(cfg Config) (*Provider, error) {
 		rank:          cfg.Rank,
 		size:          len(cfg.Addrs),
 		eagerLimit:    cfg.EagerLimit,
+		mtu:           cfg.MTU,
 		chunk:         cfg.MTU - dataHdrLen,
 		window:        uint32(cfg.Window),
 		credits:       cfg.Credits,
@@ -448,7 +449,6 @@ func New(cfg Config) (*Provider, error) {
 		concurrent.NewMPMC[*fabric.Frame](p.size * p.credits),
 	}})
 	p.frames = concurrent.NewMPMC[*fabric.Frame](p.size * p.credits)
-	p.txBufs.New = func() any { return make([]byte, cfg.MTU) }
 	if cfg.Fault.enabled() {
 		p.fault = newFaultInjector(cfg.Fault)
 	}
@@ -784,9 +784,8 @@ func (p *Provider) Send(dst int, header, meta uint64, data []byte) error {
 		if end > len(data) {
 			end = len(data)
 		}
-		buf := p.txBufs.Get().([]byte)
-		n := encodeData(buf, p.rank, fl.nextSeq, uint32(off), uint32(len(data)), header, meta, data[off:end])
-		fl.unacked.push(&txPacket{seq: fl.nextSeq, data: buf[:n]})
+		tx := fl.unacked.push(fl.nextSeq, p.mtu)
+		tx.data = tx.data[:encodeData(tx.data, p.rank, fl.nextSeq, uint32(off), uint32(len(data)), header, meta, data[off:end])]
 		fl.nextSeq++
 		off = end
 	}
@@ -1472,8 +1471,6 @@ func (p *Provider) onAck(fl *flow, cum uint32, credit uint64) {
 			if tx.attempts == 0 {
 				sample = now.Sub(tx.lastTx) // newest clean sample wins
 			}
-			p.txBufs.Put(tx.data[:cap(tx.data)])
-			tx.data = nil
 		}
 		fl.baseSeq = cum
 		retired = delta

@@ -96,7 +96,8 @@ func TestRTTBackoff(t *testing.T) {
 func TestRTTKarn(t *testing.T) {
 	a, _ := pair(t, Config{})
 	fl := newFlow(1, 128, 5*time.Millisecond)
-	fl.unacked.push(&txPacket{seq: 0, data: make([]byte, 8), lastTx: time.Now().Add(-time.Hour), attempts: 1})
+	tx := fl.unacked.push(0, 8)
+	tx.lastTx, tx.attempts = time.Now().Add(-time.Hour), 1
 	fl.nextSeq = 1
 	a.onAck(fl, 1, 200)
 	if fl.srtt != 0 {
@@ -106,7 +107,7 @@ func TestRTTKarn(t *testing.T) {
 		t.Fatalf("ack not applied: len=%d base=%d", fl.unacked.len(), fl.baseSeq)
 	}
 	// A clean (never-retransmitted) packet must feed it.
-	fl.unacked.push(&txPacket{seq: 1, data: make([]byte, 8), lastTx: time.Now().Add(-3 * time.Millisecond)})
+	fl.unacked.push(1, 8).lastTx = time.Now().Add(-3 * time.Millisecond)
 	fl.nextSeq = 2
 	a.onAck(fl, 2, 200)
 	if fl.srtt == 0 {
