@@ -125,28 +125,26 @@ func TestAbelianAppsDirect(t *testing.T) {
 // geminiStreams are the stream configurations TestGeminiAppsDirect runs
 // every app over. Each builds its transport for p ranks and returns rank
 // r's stream constructor plus a teardown for after every rank has stopped.
-// smallOnly keeps a stream off the larger graph.
 var geminiStreams = []struct {
-	name      string
-	build     func(t *testing.T, p int) (mk func(r int) comm.Stream, close func())
-	smallOnly bool
+	name  string
+	build func(t *testing.T, p int) (mk func(r int) comm.Stream, close func())
 }{
 	{"lci-sim-k1", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.TestProfile(), lci.Options{}, p), func() {}
-	}, false},
+	}},
 	// Tag steering spreads the rounds over all four shards.
 	{"lci-sim-k4", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.TestProfile(), lci.Options{Shards: 4, ShardByTag: true}, p), func() {}
-	}, false},
+	}},
 	// No RDMA; the 4 KiB eager limit still carries every batch eager.
 	{"lci-sim-sockets", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(fabric.Sockets(), lci.Options{}, p), func() {}
-	}, false},
+	}},
 	// No RDMA and a 1 KiB eager limit: full 3 KiB batches and PageRank's
 	// dense messages stream as FRG fragments under concurrent senders.
 	{"lci-sim-sockets-1k", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		return lciSimStream(sockets1k(), lci.Options{}, p), func() {}
-	}, false},
+	}},
 	{"lci-udp", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		provs, err := netfabric.NewLoopbackGroup(p, netfabric.Config{})
 		if err != nil {
@@ -159,9 +157,10 @@ var geminiStreams = []struct {
 					pr.Close()
 				}
 			}
-	}, false},
-	// Scale 6 only: once its batches exceed the eager limit and take MPI
-	// rendezvous, Gemini over MPIStream hangs (ROADMAP item 9).
+	}},
+	// At scale 9 batches exceed the 1 KiB eager limit and take MPI
+	// rendezvous, whose data moves only inside the sender's MPI calls: the
+	// engine waits for its sends (MPIStream.WaitSends) before a round ends.
 	{"mpi-probe", func(t *testing.T, p int) (func(int) comm.Stream, func()) {
 		fab := fabric.New(p, fabric.TestProfile())
 		feps := make([]fabric.Provider, p)
@@ -172,7 +171,7 @@ var geminiStreams = []struct {
 		impl.EagerLimit = fab.Profile().EagerLimit // MPI eager sends must fit one frame
 		w := mpi.NewWorldOver(feps, impl, mpi.ThreadMultiple)
 		return func(r int) comm.Stream { return comm.NewMPIStream(w.Comm(r)) }, func() {}
-	}, true},
+	}},
 }
 
 // sockets1k is the no-RDMA sockets profile with a 1 KiB eager limit.
@@ -195,9 +194,9 @@ func lciSimStream(prof fabric.Profile, opt lci.Options, p int) func(int) comm.St
 // yields, as it does over MPIStream.
 //
 // Every stream runs on a Kronecker scale-6 graph, whose batches all fit
-// one eager frame. The LCI streams also run on scale 9 (subtests under
-// "kron9/"): there PageRank's batches, and CC's at one thread, exceed
-// TestProfile's 1 KiB eager limit and travel by rendezvous. The sockets
+// one eager frame, and on scale 9 (subtests under "kron9/"): there
+// PageRank's batches, and CC's at one thread, exceed TestProfile's 1 KiB
+// eager limit and travel by rendezvous. The sockets
 // profile's 4 KiB limit still carries every batch eager; lci-sim-sockets-1k
 // lowers it to 1 KiB, so the larger batches travel as FRG fragments.
 func TestGeminiAppsDirect(t *testing.T) {
@@ -205,10 +204,9 @@ func TestGeminiAppsDirect(t *testing.T) {
 	for _, gc := range []struct {
 		prefix string
 		g      *graph.Graph
-		small  bool
 	}{
-		{"", graph.Kron(6, 5, 7, 16), true},
-		{"kron9/", graph.Kron(9, 5, 7, 16), false},
+		{"", graph.Kron(6, 5, 7, 16)},
+		{"kron9/", graph.Kron(9, 5, 7, 16)},
 	} {
 		g := gc.g
 		pt := partition.Build(g, p, partition.EdgeCutByDst)
@@ -236,9 +234,6 @@ func TestGeminiAppsDirect(t *testing.T) {
 		}
 		prWant := OraclePageRank(g, prIters)
 		for _, st := range geminiStreams {
-			if st.smallOnly && !gc.small {
-				continue
-			}
 			for _, app := range apps {
 				for _, threads := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s%s/%s/threads=%d", gc.prefix, st.name, app.name, threads), func(t *testing.T) {

@@ -113,8 +113,8 @@ func GeminiCCAdaptive(e *gemini.Engine) (rounds, dense int) {
 
 // GeminiPageRank runs iters pagerank rounds and returns per-master ranks
 // (indexed by local id; only master entries are meaningful). The engine
-// must be built with identity 0 and float-add reduction: Vals serve as the
-// per-round contribution accumulators.
+// must be built with identity 0 and float-add reduction: its values serve
+// as the per-round contribution accumulators.
 func GeminiPageRank(e *gemini.Engine, iters int) []float64 {
 	hg := e.HG
 	n := float64(hg.GlobalN)
@@ -151,7 +151,7 @@ func GeminiPageRank(e *gemini.Engine, iters int) []float64 {
 	for m := range deg {
 		deg[m] = e.Get(uint32(m))
 	}
-	// Vals become float contribution accumulators from here on.
+	// The values become float contribution accumulators from here on.
 	e.SetReduce(0, addF64)
 
 	rank := make([]float64, hg.NumMasters)

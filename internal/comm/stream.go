@@ -154,16 +154,28 @@ func (s *MPIStream) AllocBuf(n int) []byte {
 }
 
 // Stop implements Stream.
-func (s *MPIStream) Stop() {
+func (s *MPIStream) Stop() { s.WaitSends() }
+
+// WaitSends completes every pending send, like MPI_Waitall over the
+// stream's send requests followed by a flush of the library's deferred
+// sends. A rendezvous send's data moves only inside this rank's own MPI
+// calls, so a sender must call WaitSends before it stops calling MPI (for
+// instance to block in a collective that makes no MPI call); otherwise its
+// peer waits for the data forever. Call it from one goroutine, while no
+// thread is sending.
+func (s *MPIStream) WaitSends() {
 	for {
+		s.reapSends()
 		s.mu.Lock()
 		drained := len(s.pendSend) == 0
 		s.mu.Unlock()
 		if drained {
-			return
+			break
 		}
-		s.reapSends()
 		runtime.Gosched()
+	}
+	if err := s.c.Flush(); err != nil {
+		panic("mpi stream: " + err.Error())
 	}
 }
 

@@ -97,6 +97,7 @@ func (e *Engine) DenseRound(cur, next *bitset.Bitset,
 		e.applyBulk(m, relax, next)
 		want--
 	}
+	e.endRound()
 	e.CommTime += time.Since(commStart)
 	e.round++
 	e.Rounds++

@@ -40,8 +40,15 @@ type Engine struct {
 	HG *partition.HostGraph
 	S  comm.Stream
 
-	Vals   []atomic.Uint64 // per local proxy; canonical at masters
+	// vals holds one value per local proxy, canonical at masters. Compute
+	// threads share it through sync/atomic; New fills it with plain stores
+	// before the engine is shared.
+	vals   []uint64
 	reduce func(a, b uint64) uint64
+	// waitSends completes the stream's outstanding sends before a round
+	// ends, for a stream whose sends progress only inside its own calls
+	// (sendWaiter); nil otherwise.
+	waitSends func()
 
 	stash map[uint32][]comm.Message
 	round int
@@ -56,38 +63,59 @@ type Engine struct {
 	Rounds      int
 }
 
+// sendWaiter is implemented by a stream whose pending sends complete only
+// while the sender keeps calling into it (comm.MPIStream: a rendezvous
+// send's data moves inside the sender's own MPI calls). A round must not
+// end, and its rank block in a collective, with such a send still pending.
+type sendWaiter interface{ WaitSends() }
+
 // New builds an engine over an edge-cut host partition and a stream.
 func New(h *cluster.Host, hg *partition.HostGraph, s comm.Stream,
 	identity uint64, reduce func(a, b uint64) uint64) *Engine {
 	e := &Engine{
 		H: h, HG: hg, S: s,
-		Vals:   make([]atomic.Uint64, hg.NumLocal),
+		vals:   make([]uint64, hg.NumLocal),
 		reduce: reduce,
 		stash:  map[uint32][]comm.Message{},
 	}
 	if d, ok := s.(comm.Doorbell); ok {
 		e.bell = d.Arrivals()
 	}
+	if w, ok := s.(sendWaiter); ok {
+		e.waitSends = w.WaitSends
+	}
 	if identity != 0 {
-		for i := range e.Vals {
-			e.Vals[i].Store(identity)
-		}
+		e.fill(identity)
 	}
 	return e
 }
 
+// fill sets every value to identity with plain stores: call it only while
+// no compute thread runs.
+func (e *Engine) fill(identity uint64) {
+	for i := range e.vals {
+		e.vals[i] = identity
+	}
+}
+
 // Get reads local proxy lv's value.
-func (e *Engine) Get(lv uint32) uint64 { return e.Vals[lv].Load() }
+func (e *Engine) Get(lv uint32) uint64 { return atomic.LoadUint64(&e.vals[lv]) }
 
 // Set stores v into local proxy lv.
-func (e *Engine) Set(lv uint32, v uint64) { e.Vals[lv].Store(v) }
+func (e *Engine) Set(lv uint32, v uint64) { atomic.StoreUint64(&e.vals[lv], v) }
 
 // SetReduce swaps the reduction operator (e.g. integer-add for the degree
 // pre-pass, float-add for pagerank accumulation). Only call between rounds.
 func (e *Engine) SetReduce(identity uint64, reduce func(a, b uint64) uint64) {
 	e.reduce = reduce
-	for i := range e.Vals {
-		e.Vals[i].Store(identity)
+	e.fill(identity)
+}
+
+// endRound completes the stream's pending sends, when it needs that, before
+// the round returns.
+func (e *Engine) endRound() {
+	if e.waitSends != nil {
+		e.waitSends()
 	}
 }
 
@@ -96,13 +124,14 @@ func (e *Engine) Apply(lv uint32, v uint64) bool { return e.apply(lv, v) }
 
 // apply combines v into lv; reports change.
 func (e *Engine) apply(lv uint32, v uint64) bool {
+	p := &e.vals[lv]
 	for {
-		old := e.Vals[lv].Load()
+		old := atomic.LoadUint64(p)
 		merged := e.reduce(old, v)
 		if merged == old {
 			return false
 		}
-		if e.Vals[lv].CompareAndSwap(old, merged) {
+		if atomic.CompareAndSwapUint64(p, old, merged) {
 			return true
 		}
 	}
@@ -271,6 +300,7 @@ func (e *Engine) StreamRound(
 		}
 		e.awaitRecv()
 	}
+	e.endRound()
 	e.CommTime += time.Since(commStart)
 	e.round++
 	e.Rounds++
@@ -289,16 +319,23 @@ func (e *Engine) awaitRecv() {
 
 // relaxEdges runs the slot side of a signal: relax every local out-edge of
 // src proxy lv using the signalled source value, activating changed masters.
+// relax must be a pure function: on an unweighted graph it runs once per
+// source, not once per edge.
 func (e *Engine) relaxEdges(lv uint32, srcVal uint64,
 	relax func(srcVal uint64, w uint32) uint64, next *bitset.Bitset) {
 	hg := e.HG
 	ws := hg.Local.NeighborWeights(int(lv))
-	for i, v := range hg.Local.Neighbors(int(lv)) {
-		var w uint32
-		if ws != nil {
-			w = ws[i]
+	if ws == nil {
+		val := relax(srcVal, 0)
+		for _, v := range hg.Local.Neighbors(int(lv)) {
+			if e.apply(v, val) {
+				next.Set(int(v))
+			}
 		}
-		if e.apply(v, relax(srcVal, w)) {
+		return
+	}
+	for i, v := range hg.Local.Neighbors(int(lv)) {
+		if e.apply(v, relax(srcVal, ws[i])) {
 			next.Set(int(v))
 		}
 	}

@@ -16,6 +16,11 @@ import (
 // out-neighbor list of need()[i], in any order, with every id below the
 // graph size — and result() encodes the answer once finished.
 //
+// advance must treat adj as read-only and keep no reference to it: the
+// lists are views into the owner's resident graph and into the query's
+// reply buffer, which the next round overwrites. need()'s slice belongs to
+// the machine and stays valid until the next advance.
+//
 // Machines are deterministic: need() returns vertices in ascending order,
 // and no answer depends on the order within a neighbor list. The
 // distributed coordinator and the single-host Oracle therefore produce
@@ -25,16 +30,28 @@ import (
 // Per-query state is dense, indexed by global vertex id: O(N) memory per
 // resident query — about 21 B × N for PPR and 1 B × N for BFS (on a
 // 4096-vertex graph with 64 resident queries, at most ~5.3 MiB) — in
-// exchange for array updates instead of hash-map writes on every edge.
+// exchange for array updates instead of hash-map writes on every edge. A
+// finished machine is cleared and reused by a later query of its kind
+// (machinePool), so steady-state serving allocates none of it.
 type machine interface {
 	need() []uint32
 	advance(adj [][]uint32)
 	result() []byte
 }
 
-// newMachine validates a query against the graph size and builds its state
-// machine.
-func newMachine(q Query, globalN int, cfg *Config) (machine, error) {
+// machinePool starts query machines, reusing finished ones. At most max
+// finished machines (BFS and PPR together) wait in it, so it retains no
+// more dense state than max resident queries hold. The zero pool retains
+// nothing.
+type machinePool struct {
+	max int
+	bfs []*bfsMachine
+	ppr []*pprMachine
+}
+
+// start validates a query against the graph size and starts its machine:
+// the one path the coordinator and the Oracle share.
+func (mp *machinePool) start(q Query, globalN int, cfg *Config) (machine, error) {
 	if int(q.A) >= globalN {
 		return nil, fmt.Errorf("vertex %d out of range (graph has %d)", q.A, globalN)
 	}
@@ -43,20 +60,61 @@ func newMachine(q Query, globalN int, cfg *Config) (machine, error) {
 		if int(q.B) > cfg.MaxHops {
 			return nil, fmt.Errorf("k=%d exceeds the %d-hop limit", q.B, cfg.MaxHops)
 		}
-		return newBFSMachine(q.A, globalN, int(q.B), Unreachable, false), nil
+		m := take(&mp.bfs)
+		m.reset(q.A, globalN, int(q.B), Unreachable, false)
+		return m, nil
 	case OpDist:
 		if int(q.B) >= globalN {
 			return nil, fmt.Errorf("vertex %d out of range (graph has %d)", q.B, globalN)
 		}
-		return newBFSMachine(q.A, globalN, cfg.MaxRounds, q.B, true), nil
+		m := take(&mp.bfs)
+		m.reset(q.A, globalN, cfg.MaxRounds, q.B, true)
+		return m, nil
 	case OpPPR:
 		if q.B == 0 {
 			return nil, fmt.Errorf("ppr topN must be positive")
 		}
-		return newPPRMachine(q.A, globalN, int(q.B), cfg), nil
+		m := take(&mp.ppr)
+		m.reset(q.A, globalN, int(q.B), cfg)
+		return m, nil
 	default:
 		return nil, fmt.Errorf("unknown op %d", q.Op)
 	}
+}
+
+// put returns a finished machine for reuse, or drops it when the pool is
+// full.
+func (mp *machinePool) put(m machine) {
+	if len(mp.bfs)+len(mp.ppr) >= mp.max {
+		return
+	}
+	switch m := m.(type) {
+	case *bfsMachine:
+		mp.bfs = append(mp.bfs, m)
+	case *pprMachine:
+		mp.ppr = append(mp.ppr, m)
+	}
+}
+
+// take pops the last element of a free list, or returns a new zero value.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// zeroed returns s cleared if it has length n, else a new zeroed slice.
+func zeroed[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // bfsMachine runs breadth-first frontier expansion: the k-hop neighborhood
@@ -66,6 +124,7 @@ type bfsMachine struct {
 	visited   []bool // by global id
 	nVisited  int
 	frontier  []uint32 // sorted; the vertices need() exposes
+	next      []uint32 // the other frontier buffer, filled by advance
 	depth     int
 	maxDepth  int
 	target    uint32
@@ -73,22 +132,20 @@ type bfsMachine struct {
 	foundAt   int // depth at which target was reached; -1 while unseen
 }
 
-func newBFSMachine(src uint32, globalN, maxDepth int, target uint32, hasTarget bool) *bfsMachine {
-	m := &bfsMachine{
-		visited:   make([]bool, globalN),
-		nVisited:  1,
-		frontier:  []uint32{src},
-		maxDepth:  maxDepth,
-		target:    target,
-		hasTarget: hasTarget,
-		foundAt:   -1,
-	}
+func (m *bfsMachine) reset(src uint32, globalN, maxDepth int, target uint32, hasTarget bool) {
+	m.visited = zeroed(m.visited, globalN)
 	m.visited[src] = true
+	m.nVisited = 1
+	m.frontier = append(m.frontier[:0], src)
+	m.depth = 0
+	m.maxDepth = maxDepth
+	m.target = target
+	m.hasTarget = hasTarget
+	m.foundAt = -1
 	if hasTarget && src == target {
 		m.foundAt = 0
-		m.frontier = nil
+		m.frontier = m.frontier[:0]
 	}
-	return m
 }
 
 func (m *bfsMachine) need() []uint32 {
@@ -99,7 +156,7 @@ func (m *bfsMachine) need() []uint32 {
 }
 
 func (m *bfsMachine) advance(adj [][]uint32) {
-	next := make([]uint32, 0, len(adj))
+	next := m.next[:0]
 	for _, l := range adj {
 		for _, u := range l {
 			if !m.visited[u] {
@@ -111,7 +168,7 @@ func (m *bfsMachine) advance(adj [][]uint32) {
 	m.nVisited += len(next)
 	m.depth++
 	slices.Sort(next)
-	m.frontier = next
+	m.frontier, m.next = next, m.frontier
 	if m.hasTarget && m.foundAt < 0 && m.visited[m.target] {
 		m.foundAt = m.depth
 	}
@@ -155,20 +212,20 @@ type pprMachine struct {
 	eps       float64
 }
 
-func newPPRMachine(src uint32, globalN, topN int, cfg *Config) *pprMachine {
-	m := &pprMachine{
-		res:       make([]float64, globalN),
-		score:     make([]float64, globalN),
-		stamp:     make([]uint32, globalN),
-		scored:    make([]bool, globalN),
-		touched:   []uint32{src},
-		topN:      topN,
-		maxRounds: cfg.MaxRounds,
-		alpha:     cfg.PPRAlpha,
-		eps:       cfg.PPREps,
-	}
+func (m *pprMachine) reset(src uint32, globalN, topN int, cfg *Config) {
+	m.res = zeroed(m.res, globalN)
+	m.score = zeroed(m.score, globalN)
+	m.stamp = zeroed(m.stamp, globalN)
+	m.scored = zeroed(m.scored, globalN)
+	m.touched = append(m.touched[:0], src)
+	m.order = m.order[:0]
+	m.batch = m.batch[:0]
+	m.topN = topN
+	m.round = 0
+	m.maxRounds = cfg.MaxRounds
+	m.alpha = cfg.PPRAlpha
+	m.eps = cfg.PPREps
 	m.res[src] = 1
-	return m
 }
 
 // need returns the touched vertices whose residual reached eps. A vertex
@@ -215,8 +272,9 @@ func (m *pprMachine) advance(adj [][]uint32) {
 	}
 }
 
+// result ranks the scored vertices in place: order is not needed again.
 func (m *pprMachine) result() []byte {
-	top := slices.Clone(m.order)
+	top := m.order
 	slices.SortFunc(top, func(a, b uint32) int {
 		switch sa, sb := m.score[a], m.score[b]; {
 		case sa > sb:
@@ -282,12 +340,14 @@ func NewOracle(g *graph.Graph, cfg Config) *Oracle {
 // Answer runs one query to completion locally and returns the result
 // payload (the same bytes a StatusOK response would carry).
 func (o *Oracle) Answer(q Query) ([]byte, error) {
-	m, err := newMachine(q, o.G.N, &o.Cfg)
+	var mp machinePool
+	m, err := mp.start(q, o.G.N, &o.Cfg)
 	if err != nil {
 		return nil, err
 	}
+	var adj [][]uint32
 	for verts := m.need(); len(verts) > 0; verts = m.need() {
-		adj := make([][]uint32, len(verts))
+		adj = slices.Grow(adj[:0], len(verts))[:len(verts)]
 		for i, v := range verts {
 			adj[i] = o.G.Neighbors(int(v))
 		}

@@ -3,12 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"lcigraph/internal/comm"
 	"lcigraph/internal/graph"
-	"lcigraph/internal/partition"
 	"lcigraph/internal/telemetry"
 )
 
@@ -73,7 +73,7 @@ func TestAnswersIgnoreAdjacencyOrder(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			m, err := newMachine(tc.q, g.N, &cfg)
+			m, err := new(machinePool).start(tc.q, g.N, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,17 +94,56 @@ func TestAnswersIgnoreAdjacencyOrder(t *testing.T) {
 	}
 }
 
-// replyServer is a coordinator with no layer: enough state for onReply to
-// run against a hand-placed resident query whose round is owed by rank 1.
+// TestMachineReuseStartsClean: a machine taken back from the pool starts
+// from exactly the state a new one has, whichever query of its kind ran on
+// it before.
+func TestMachineReuseStartsClean(t *testing.T) {
+	g := goldenGraph()
+	cfg := Config{}
+	cfg.fill()
+	state := func(m machine) string {
+		switch m := m.(type) {
+		case *bfsMachine:
+			c := *m
+			c.next = nil // advance's scratch buffer, refilled before use
+			return fmt.Sprintf("%+v", c)
+		case *pprMachine:
+			return fmt.Sprintf("%+v", *m)
+		}
+		return ""
+	}
+	mp := machinePool{max: 2}
+	for _, tc := range goldenAnswers {
+		m, err := mp.start(tc.q, g.N, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := new(machinePool).start(tc.q, g.N, &cfg)
+		if state(m) != state(fresh) {
+			t.Fatalf("%s(%d,%d): a reused machine starts from different state",
+				OpName(tc.q.Op), tc.q.A, tc.q.B)
+		}
+		for verts := m.need(); len(verts) > 0; verts = m.need() {
+			adj := make([][]uint32, len(verts))
+			for i, v := range verts {
+				adj[i] = g.Neighbors(int(v))
+			}
+			m.advance(adj)
+		}
+		mp.put(m)
+	}
+	if len(mp.bfs) != 1 || len(mp.ppr) != 1 {
+		t.Fatalf("pool holds %d BFS and %d PPR machines, want 1 each", len(mp.bfs), len(mp.ppr))
+	}
+}
+
+// replyServer is a coordinator over a stub layer with a hand-placed
+// resident query whose first round is owed by rank 1.
 func replyServer(t *testing.T, q Query) (*Server, *pending) {
 	t.Helper()
-	g := goldenGraph()
-	pt := partition.Build(g, 2, partition.EdgeCut)
-	s := &Server{pt: pt, hg: pt.Hosts[0], queries: map[uint32]*pending{}, cache: newLRU(0)}
-	s.cfg.fill()
-	s.cfg.Reg = telemetry.NewEnabled(0)
-	s.met = newMetrics(s.cfg.Reg, s.inflight.Load)
-	m, err := newMachine(q, pt.GlobalN, &s.cfg)
+	j := newStubJob(goldenGraph(), Config{CacheSize: -1, Reg: telemetry.NewEnabled(0)})
+	s := j.s[0]
+	m, err := s.machines.start(q, s.pt.GlobalN, &s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +151,7 @@ func replyServer(t *testing.T, q Query) (*Server, *pending) {
 	p := &pending{
 		c: &clientConn{out: make(chan []byte, 4)}, q: q, m: m, qid: 7,
 		verts: verts, adj: make([][]uint32, len(verts)),
-		slots: map[int][]int{1: {0}}, remaining: 1,
+		slots: [][]int{nil, {0}}, remaining: 1,
 	}
 	s.queries[p.qid] = p
 	return s, p
@@ -126,11 +165,11 @@ func TestReplyOutOfRangeNeighbor(t *testing.T) {
 	for _, q := range []Query{{OpKHop, 500, 1}, {OpKHop, 500, 3}, {OpDist, 500, 0}, {OpPPR, 500, 4}} {
 		s, p := replyServer(t, q)
 		bad := [][]uint32{{3, uint32(s.pt.GlobalN) + 5}}
-		s.onReply(comm.Message{Peer: 1, Data: encodeAdjRep(heapAlloc, p.qid, bad)})
+		s.onReply(comm.Message{Peer: 1, Data: encodeLists(heapAlloc, p.qid, bad)})
 		if n := s.met.badReplies.Value(); n != 1 {
 			t.Fatalf("%s: bad replies counted %d, want 1", OpName(q.Op), n)
 		}
-		if s.queries[p.qid] != p || p.remaining != 1 {
+		if s.queries[p.qid] != p || p.remaining != 1 || len(p.slots[1]) != 1 {
 			t.Fatalf("%s: query advanced on a dropped reply", OpName(q.Op))
 		}
 	}

@@ -40,16 +40,16 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("response round trip: %d %d %v %v", rid, status, payload, err)
 	}
 
-	alloc := func(n int) []byte { return make([]byte, n) }
 	verts := []uint32{3, 9, 200}
-	req := encodeAdjReq(alloc, 0xbeef, verts)
-	qid, gv, err := decodeAdjReq(req)
-	if err != nil || qid != 0xbeef || fmt.Sprint(gv) != fmt.Sprint(verts) {
-		t.Fatalf("adj request round trip: %x %v %v", qid, gv, err)
+	req := encodeAdjReq(heapAlloc, 0xbeef, len(verts), func(i int) uint32 { return verts[i] })
+	qid, rv, err := parseAdjReq(req)
+	if err != nil || qid != 0xbeef || rv.len() != 3 || rv.vert(0) != 3 || rv.vert(2) != 200 {
+		t.Fatalf("adj request round trip: %x %d %v", qid, rv.len(), err)
 	}
 	adj := [][]uint32{{1, 2}, nil, {5}}
-	rep := encodeAdjRep(alloc, 0xbeef, adj)
-	qid, ga, err := decodeAdjRep(rep)
+	rep := encodeLists(heapAlloc, 0xbeef, adj)
+	qid, view, err := parseAdjRep(rep, 6)
+	ga := lists(view)
 	if err != nil || qid != 0xbeef || len(ga) != 3 ||
 		fmt.Sprint(ga[0]) != fmt.Sprint(adj[0]) || len(ga[1]) != 0 ||
 		fmt.Sprint(ga[2]) != fmt.Sprint(adj[2]) {

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -108,10 +109,11 @@ type pending struct {
 	tid   uint64 // tracing id: MsgID(coordinator rank, qid)
 	round int
 
-	verts     []uint32      // this round's need, ascending
-	adj       [][]uint32    // aligned to verts
-	slots     map[int][]int // peer rank → indices into verts still owed
-	remaining int           // outstanding peer replies this round
+	verts     []uint32   // this round's need, ascending
+	adj       [][]uint32 // aligned to verts: views into Server.gadj and flat
+	flat      []uint32   // this round's remote neighbor lists, copied from replies
+	slots     [][]int    // by peer rank: indices into verts still owed this round
+	remaining int        // outstanding peer replies this round
 }
 
 // Server is one rank's half of a serving job: the coordinator loop on rank
@@ -122,6 +124,9 @@ type Server struct {
 	pt  *partition.Partitioned
 	hg  *partition.HostGraph
 	cfg Config
+	// gadj is hg.Local.Edges translated to global ids: localAdj's lists
+	// are subslices of it.
+	gadj []uint32
 
 	layer comm.AsyncLayer
 	met   *metrics
@@ -137,9 +142,11 @@ type Server struct {
 	inflight atomic.Int64
 
 	// Coordinator-loop state (touched only from Run's goroutine).
-	seq     uint32
-	queries map[uint32]*pending
-	cache   *lru
+	seq      uint32
+	queries  map[uint32]*pending
+	cache    *lru
+	free     []*pending // finished queries kept for reuse, at most MaxInFlight
+	machines machinePool
 }
 
 // New builds this rank's server. The partition must have been built with
@@ -165,6 +172,11 @@ func New(h *cluster.Host, pt *partition.Partitioned, cfg Config) *Server {
 		wake:     make(chan struct{}, 1),
 		queries:  map[uint32]*pending{},
 		cache:    newLRU(cfg.CacheSize),
+		machines: machinePool{max: cfg.MaxInFlight},
+	}
+	s.gadj = make([]uint32, len(s.hg.Local.Edges))
+	for i, u := range s.hg.Local.Edges {
+		s.gadj[i] = s.hg.L2G[u]
 	}
 	if d, ok := h.Layer.(comm.Doorbell); ok {
 		s.bell = d.Arrivals()
@@ -372,14 +384,18 @@ func (s *Server) handle(r request) {
 		return
 	}
 	s.met.cacheMisses.Inc()
-	m, err := newMachine(r.q, s.pt.GlobalN, &s.cfg)
+	m, err := s.machines.start(r.q, s.pt.GlobalN, &s.cfg)
 	if err != nil {
 		s.met.errs[r.q.Op].Inc()
 		s.cfg.Tracer.RecordArg(tracing.EvQueryDone, -1, 0, 0, 3, tid)
 		r.c.send(EncodeResponse(r.reqid, StatusError, []byte(err.Error())))
 		return
 	}
-	p := &pending{c: r.c, reqid: r.reqid, q: r.q, m: m, start: r.start, qid: qid, tid: tid}
+	p := take(&s.free)
+	if p.slots == nil {
+		p.slots = make([][]int, s.h.P)
+	}
+	p.c, p.reqid, p.q, p.m, p.start, p.qid, p.tid = r.c, r.reqid, r.q, m, r.start, qid, tid
 	s.queries[qid] = p
 	s.inflight.Store(int64(len(s.queries)))
 	r.c.resident++
@@ -397,29 +413,25 @@ func (s *Server) step(p *pending) {
 			return
 		}
 		p.verts = verts
-		p.adj = make([][]uint32, len(verts))
-		p.slots = map[int][]int{}
+		p.adj = slices.Grow(p.adj[:0], len(verts))[:len(verts)]
+		p.flat = p.flat[:0]
 		for i, v := range verts {
-			owner := s.pt.Owner(v)
-			p.slots[owner] = append(p.slots[owner], i)
+			if owner := s.pt.Owner(v); owner == s.h.Rank {
+				p.adj[i] = s.localAdj(v)
+			} else {
+				p.slots[owner] = append(p.slots[owner], i)
+			}
 		}
 		p.remaining = 0
 		for owner, idxs := range p.slots {
-			if owner == s.h.Rank {
-				for _, i := range idxs {
-					p.adj[i] = s.localAdj(verts[i])
-				}
+			if len(idxs) == 0 {
 				continue
 			}
-			sub := make([]uint32, len(idxs))
-			for j, i := range idxs {
-				sub[j] = verts[i]
-			}
-			s.layer.PostTag(owner, tagQuery, encodeAdjReq(s.layer.AllocBuf, p.qid, sub))
+			s.layer.PostTag(owner, tagQuery, encodeAdjReq(s.layer.AllocBuf, p.qid, len(idxs),
+				func(j int) uint32 { return verts[idxs[j]] }))
 			s.met.subqueries.Inc()
 			p.remaining++
 		}
-		delete(p.slots, s.h.Rank)
 		s.cfg.Tracer.RecordArg(tracing.EvQueryScatter, -1, 0, len(verts), uint32(p.round), p.tid)
 		if p.remaining > 0 {
 			return
@@ -429,47 +441,47 @@ func (s *Server) step(p *pending) {
 	}
 }
 
-// onReply absorbs one adjacency reply into its query's current round.
+// onReply absorbs one adjacency reply into its query's current round, and
+// advances the query once the round is complete.
 func (s *Server) onReply(m comm.Message) {
-	qid, adj, err := decodeAdjRep(m.Data)
-	peer := m.Peer
+	p := s.absorb(m)
 	m.Release()
-	if err != nil || !inGraph(adj, s.pt.GlobalN) {
-		s.met.badReplies.Inc()
-		return
-	}
-	p, ok := s.queries[qid]
-	if !ok {
-		return
-	}
-	idxs, ok := p.slots[peer]
-	if !ok || len(idxs) != len(adj) {
-		return // stale or malformed; the reliable transport makes this unreachable
-	}
-	for j, l := range adj {
-		p.adj[idxs[j]] = l
-	}
-	delete(p.slots, peer)
-	p.remaining--
-	s.cfg.Tracer.RecordArg(tracing.EvQueryGather, peer, 0, len(adj), uint32(p.round), p.tid)
-	if p.remaining == 0 {
+	if p != nil && p.remaining == 0 {
 		p.m.advance(p.adj)
 		p.round++
 		s.step(p)
 	}
 }
 
-// inGraph reports whether every id in a peer's adjacency names a vertex of
-// the graph: the machines index their dense state by global id.
-func inGraph(adj [][]uint32, globalN int) bool {
-	for _, l := range adj {
-		for _, u := range l {
-			if int(u) >= globalN {
-				return false
-			}
-		}
+// absorb validates a reply in place and copies its neighbor lists into the
+// owning query's flat buffer. It returns the query, or nil when the reply
+// was dropped. All reads of m.Data happen here, before the caller releases
+// m.
+func (s *Server) absorb(m comm.Message) *pending {
+	qid, rep, err := parseAdjRep(m.Data, s.pt.GlobalN)
+	if err != nil {
+		s.met.badReplies.Inc()
+		return nil
 	}
-	return true
+	p, ok := s.queries[qid]
+	if !ok {
+		return nil
+	}
+	idxs := p.slots[m.Peer]
+	if len(idxs) == 0 || len(idxs) != rep.len() {
+		return nil // stale or malformed; the reliable transport makes this unreachable
+	}
+	off := len(p.flat)
+	p.flat = rep.appendNeighbors(p.flat)
+	for j, i := range idxs {
+		d := rep.deg(j)
+		p.adj[i] = p.flat[off : off+d : off+d]
+		off += d
+	}
+	p.slots[m.Peer] = idxs[:0]
+	p.remaining--
+	s.cfg.Tracer.RecordArg(tracing.EvQueryGather, m.Peer, 0, len(idxs), uint32(p.round), p.tid)
+	return p
 }
 
 // finish completes a resident query: cache, respond, account.
@@ -483,38 +495,46 @@ func (s *Server) finish(p *pending) {
 	s.met.latency[p.q.Op].Observe(int64(time.Since(p.start)))
 	s.cfg.Tracer.RecordArg(tracing.EvQueryDone, -1, 0, len(res), 1, p.tid)
 	p.c.send(EncodeResponse(p.reqid, StatusOK, res))
+	s.recycle(p)
 }
 
-// serveAdj answers one adjacency sub-query from the resident partition.
-func (s *Server) serveAdj(m comm.Message) {
-	qid, verts, err := decodeAdjReq(m.Data)
-	peer := m.Peer
-	m.Release()
-	if err != nil {
+// recycle returns a finished query's machine and state for reuse. The free
+// list holds at most MaxInFlight queries, the most that can be resident.
+// Each keeps the slices of its largest round.
+func (s *Server) recycle(p *pending) {
+	s.machines.put(p.m)
+	if len(s.free) >= s.cfg.MaxInFlight {
 		return
 	}
-	adj := make([][]uint32, len(verts))
-	for i, v := range verts {
-		adj[i] = s.localAdj(v)
+	*p = pending{adj: p.adj[:0], flat: p.flat[:0], slots: p.slots}
+	s.free = append(s.free, p)
+}
+
+// serveAdj answers one adjacency sub-query from the resident partition,
+// encoding the reply straight from the request bytes and the graph.
+func (s *Server) serveAdj(m comm.Message) {
+	qid, req, err := parseAdjReq(m.Data)
+	if err != nil {
+		m.Release()
+		return
 	}
+	peer, n := m.Peer, req.len()
+	rep := encodeAdjRep(s.layer.AllocBuf, qid, n, func(i int) []uint32 { return s.localAdj(req.vert(i)) })
+	m.Release()
 	s.met.served.Inc()
-	s.cfg.Tracer.RecordArg(tracing.EvQueryServe, peer, 0, len(verts), 0,
-		tracing.MsgID(peer, qid))
-	s.layer.PostTag(peer, tagReply, encodeAdjRep(s.layer.AllocBuf, qid, adj))
+	s.cfg.Tracer.RecordArg(tracing.EvQueryServe, peer, 0, n, 0, tracing.MsgID(peer, qid))
+	s.layer.PostTag(peer, tagReply, rep)
 }
 
 // localAdj returns the global-id out-neighbors of global vertex v from this
-// rank's partition. Under EdgeCut every out-edge of an owned vertex is
-// local, so the list is complete.
+// rank's partition, as a read-only, capacity-capped view of gadj. Under
+// EdgeCut every out-edge of an owned vertex is local, so the list is
+// complete.
 func (s *Server) localAdj(v uint32) []uint32 {
 	l, ok := s.hg.G2L(v)
 	if !ok {
 		return nil
 	}
-	nb := s.hg.Local.Neighbors(int(l))
-	out := make([]uint32, len(nb))
-	for i, u := range nb {
-		out[i] = s.hg.L2G[u]
-	}
-	return out
+	lo, hi := s.hg.Local.Offsets[l], s.hg.Local.Offsets[l+1]
+	return s.gadj[lo:hi:hi]
 }

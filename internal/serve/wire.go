@@ -151,21 +151,27 @@ func RetryAfterMs(payload []byte) uint32 {
 // CSR). Both carry the 24-bit query id that multiplexes concurrent
 // in-flight queries, mirroring the tracing msgid encoding.
 
-// encodeAdjReq builds an adjacency request payload in a layer buffer
-// returned by alloc.
-func encodeAdjReq(alloc func(int) []byte, qid uint32, verts []uint32) []byte {
-	b := alloc(8 + 4*len(verts))
+// encodeAdjReq builds an adjacency request for n vertices, vert(i) naming
+// the i-th, in a layer buffer returned by alloc.
+func encodeAdjReq(alloc func(int) []byte, qid uint32, n int, vert func(i int) uint32) []byte {
+	b := alloc(8 + 4*n)
 	binary.LittleEndian.PutUint32(b[0:], qid)
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(verts)))
-	for i, v := range verts {
-		binary.LittleEndian.PutUint32(b[8+4*i:], v)
+	binary.LittleEndian.PutUint32(b[4:], uint32(n))
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[8+4*i:], vert(i))
 	}
 	return b
 }
 
-// decodeAdjReq parses an adjacency request (copying out of the transient
-// message buffer).
-func decodeAdjReq(data []byte) (qid uint32, verts []uint32, err error) {
+// adjReq is an adjacency request's vertex array, viewed in place in the
+// message buffer: valid only until the message is released.
+type adjReq []byte
+
+func (r adjReq) len() int          { return len(r) / 4 }
+func (r adjReq) vert(i int) uint32 { return binary.LittleEndian.Uint32(r[4*i:]) }
+
+// parseAdjReq validates an adjacency request without copying it.
+func parseAdjReq(data []byte) (qid uint32, req adjReq, err error) {
 	if len(data) < 8 {
 		return 0, nil, fmt.Errorf("serve: adj request %d bytes", len(data))
 	}
@@ -174,29 +180,25 @@ func decodeAdjReq(data []byte) (qid uint32, verts []uint32, err error) {
 	if len(data) != 8+4*n {
 		return 0, nil, fmt.Errorf("serve: adj request %d bytes for %d vertices", len(data), n)
 	}
-	verts = make([]uint32, n)
-	for i := range verts {
-		verts[i] = binary.LittleEndian.Uint32(data[8+4*i:])
-	}
-	return qid, verts, nil
+	return qid, adjReq(data[8:]), nil
 }
 
-// encodeAdjRep builds an adjacency reply payload: qid, vertex count, the
-// per-vertex degrees, then the flat neighbor array.
-func encodeAdjRep(alloc func(int) []byte, qid uint32, adj [][]uint32) []byte {
+// encodeAdjRep builds an adjacency reply for n vertices, adj(i) listing the
+// i-th one's neighbors: qid, vertex count, the per-vertex degrees, then the
+// flat neighbor array. adj is called twice per vertex (sizing, then
+// writing) and must return the same list both times.
+func encodeAdjRep(alloc func(int) []byte, qid uint32, n int, adj func(i int) []uint32) []byte {
 	total := 0
-	for _, l := range adj {
-		total += len(l)
+	for i := 0; i < n; i++ {
+		total += len(adj(i))
 	}
-	b := alloc(8 + 4*len(adj) + 4*total)
+	b := alloc(8 + 4*n + 4*total)
 	binary.LittleEndian.PutUint32(b[0:], qid)
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(adj)))
-	off := 8
-	for _, l := range adj {
-		binary.LittleEndian.PutUint32(b[off:], uint32(len(l)))
-		off += 4
-	}
-	for _, l := range adj {
+	binary.LittleEndian.PutUint32(b[4:], uint32(n))
+	off := 8 + 4*n
+	for i := 0; i < n; i++ {
+		l := adj(i)
+		binary.LittleEndian.PutUint32(b[8+4*i:], uint32(len(l)))
 		for _, u := range l {
 			binary.LittleEndian.PutUint32(b[off:], u)
 			off += 4
@@ -205,38 +207,48 @@ func encodeAdjRep(alloc func(int) []byte, qid uint32, adj [][]uint32) []byte {
 	return b
 }
 
-// decodeAdjRep parses an adjacency reply (copying out of the transient
-// message buffer).
-func decodeAdjRep(data []byte) (qid uint32, adj [][]uint32, err error) {
+// adjRep is an adjacency reply viewed in place in the message buffer: valid
+// only until the message is released.
+type adjRep struct{ degs, nbrs []byte }
+
+func (r adjRep) len() int      { return len(r.degs) / 4 }
+func (r adjRep) deg(i int) int { return int(binary.LittleEndian.Uint32(r.degs[4*i:])) }
+
+// appendNeighbors appends the reply's flat neighbor array to dst.
+func (r adjRep) appendNeighbors(dst []uint32) []uint32 {
+	for off := 0; off < len(r.nbrs); off += 4 {
+		dst = append(dst, binary.LittleEndian.Uint32(r.nbrs[off:]))
+	}
+	return dst
+}
+
+// parseAdjRep validates an adjacency reply without copying it: the layout,
+// and that every neighbor id is below globalN (the machines index dense
+// state by global id, and the reply is remote input).
+func parseAdjRep(data []byte, globalN int) (qid uint32, rep adjRep, err error) {
 	if len(data) < 8 {
-		return 0, nil, fmt.Errorf("serve: adj reply %d bytes", len(data))
+		return 0, adjRep{}, fmt.Errorf("serve: adj reply %d bytes", len(data))
 	}
 	qid = binary.LittleEndian.Uint32(data)
 	n := int(binary.LittleEndian.Uint32(data[4:]))
 	if len(data) < 8+4*n {
-		return 0, nil, fmt.Errorf("serve: adj reply %d bytes for %d vertices", len(data), n)
+		return 0, adjRep{}, fmt.Errorf("serve: adj reply %d bytes for %d vertices", len(data), n)
 	}
-	degs := make([]int, n)
+	rep.degs = data[8 : 8+4*n]
 	total := 0
-	for i := range degs {
-		degs[i] = int(binary.LittleEndian.Uint32(data[8+4*i:]))
-		total += degs[i]
+	for i := 0; i < n; i++ {
+		total += rep.deg(i)
 	}
 	if len(data) != 8+4*n+4*total {
-		return 0, nil, fmt.Errorf("serve: adj reply %d bytes, want %d", len(data), 8+4*n+4*total)
+		return 0, adjRep{}, fmt.Errorf("serve: adj reply %d bytes, want %d", len(data), 8+4*n+4*total)
 	}
-	adj = make([][]uint32, n)
-	off := 8 + 4*n
-	flat := make([]uint32, total)
-	for i := range flat {
-		flat[i] = binary.LittleEndian.Uint32(data[off+4*i:])
+	rep.nbrs = data[8+4*n:]
+	for off := 0; off < len(rep.nbrs); off += 4 {
+		if u := binary.LittleEndian.Uint32(rep.nbrs[off:]); int(u) >= globalN {
+			return 0, adjRep{}, fmt.Errorf("serve: adj reply names vertex %d of %d", u, globalN)
+		}
 	}
-	pos := 0
-	for i, d := range degs {
-		adj[i] = flat[pos : pos+d : pos+d]
-		pos += d
-	}
-	return qid, adj, nil
+	return qid, rep, nil
 }
 
 // Control messages on the drain tag.
