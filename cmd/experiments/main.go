@@ -6,6 +6,12 @@
 //
 //	experiments -all
 //	experiments -fig1 -fig3 -scale 11 -hosts 2,4,8
+//	experiments -fig1 -profile infiniband -impl mvapich2 -micro-iters 2000
+//	experiments -fig4 -impl openmpi
+//
+// -profile and -impl select the NIC and MPI profiles of Fig 1 and of every
+// table that does not sweep them (Table II, Table IV and the portability
+// table do).
 package main
 
 import (
@@ -16,6 +22,9 @@ import (
 	"strings"
 
 	"lcigraph/internal/bench"
+	lci "lcigraph/internal/core"
+	"lcigraph/internal/fabric"
+	"lcigraph/internal/mpi"
 )
 
 func main() {
@@ -34,8 +43,9 @@ func main() {
 	alltoall := flag.Bool("alltoall", false, "all-to-all message-rate microbenchmark")
 	threadScaling := flag.Bool("thread-scaling", false, "end-to-end thread-count sweep")
 
-	shards := flag.Int("shards", 0,
-		"progress shards per rank (sets LCI_ENDPOINT_SHARDS for every in-process run; 0 = inherit env)")
+	shards := flag.Int("shards", 1, "progress shards per rank on the LCI layers (1..16)")
+	profName := flag.String("profile", "omnipath", "NIC profile: omnipath, infiniband or sockets")
+	implName := flag.String("impl", "intelmpi", "MPI implementation profile: intelmpi, mvapich2 or openmpi")
 
 	scale := flag.Int("scale", 0, "graph scale (default from suite)")
 	hostsStr := flag.String("hosts", "", "host sweep, e.g. 2,4,8")
@@ -44,13 +54,18 @@ func main() {
 	microIters := flag.Int("micro-iters", 2000, "Fig 1 iterations")
 	flag.Parse()
 
-	if *shards > 0 {
-		// Every harness sizes endpoints through bench.LCIOptions, which
-		// reads this variable; exporting it here covers all of them.
-		os.Setenv("LCI_ENDPOINT_SHARDS", strconv.Itoa(*shards))
-	}
-
 	e := bench.DefaultExp()
+	if *shards < 1 || *shards > lci.MaxShards {
+		fail(fmt.Errorf("-shards %d: want 1..%d", *shards, lci.MaxShards))
+	}
+	e.Shards = *shards
+	var err error
+	if e.Profile, err = fabric.ProfileByName(*profName); err != nil {
+		fail(err)
+	}
+	if e.Impl, err = mpi.ImplByName(*implName); err != nil {
+		fail(err)
+	}
 	if *scale > 0 {
 		e.Scale = *scale
 	}
@@ -65,8 +80,7 @@ func main() {
 		for _, f := range strings.Split(*hostsStr, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -hosts:", err)
-				os.Exit(2)
+				fail(fmt.Errorf("bad -hosts: %v", err))
 			}
 			hs = append(hs, v)
 		}
@@ -85,7 +99,7 @@ func main() {
 
 	run(*table3, "Table III", bench.Table3)
 	run(*table1, "Table I", func() string { return bench.Table1(e) })
-	run(*fig1, "Fig 1", func() string { return bench.Fig1Table(*microIters) })
+	run(*fig1, "Fig 1", func() string { return bench.Fig1Table(*microIters, e.Profile, e.Impl) })
 	run(*fig3, "Fig 3", func() string { return bench.Fig3(e) })
 	run(*fig4, "Fig 4", func() string { return bench.Fig4(e) })
 	run(*fig5, "Fig 5", func() string { return bench.Fig5(e) })
@@ -109,4 +123,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// fail reports a bad flag and exits 2, before any run starts.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(2)
 }

@@ -33,30 +33,20 @@ func main() {
 	threads := flag.Int("threads", 2, "compute threads per host")
 	source := flag.Uint("source", 1, "bfs/sssp source vertex")
 	prIters := flag.Int("pr-iters", 10, "pagerank iterations")
-	profName := flag.String("profile", "omnipath", "NIC profile: omnipath or infiniband")
-	implName := flag.String("impl", "intelmpi", "MPI implementation profile")
+	profName := flag.String("profile", "omnipath", "NIC profile: omnipath, infiniband or sockets")
+	implName := flag.String("impl", "intelmpi", "MPI implementation profile: intelmpi, mvapich2 or openmpi")
 	verify := flag.Bool("verify", false, "check the result against the single-host oracle")
 	traceCSV := flag.String("trace", "", "write a per-round CSV timeline to this file (abelian only)")
 	flag.Parse()
 
-	var prof fabric.Profile
-	switch *profName {
-	case "omnipath":
-		prof = fabric.OmniPath()
-	case "infiniband":
-		prof = fabric.InfiniBand()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profName)
+	prof, err := fabric.ProfileByName(*profName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var impl mpi.Impl
-	for _, im := range mpi.Impls() {
-		if im.Name == *implName {
-			impl = im
-		}
-	}
-	if impl.Name == "" {
-		fmt.Fprintf(os.Stderr, "unknown MPI implementation %q\n", *implName)
+	impl, err := mpi.ImplByName(*implName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -26,13 +26,12 @@
 // communication layer itself and rank 0 prints the cluster-wide report
 // (with -v) and writes it as JSON (with -metrics-out).
 //
-// With -trace-out (or LCI_TRACE=1 in the environment) every rank records
-// message-lifecycle events into its tracing ring; the same HTTP endpoint
-// additionally serves /debug/trace (Chrome trace-event JSON, merged across
-// ranks on rank 0) and /debug/trace/flight (flight-recorder text dump). At
-// exit the per-rank traces are gathered over the communication layer and
-// rank 0 writes one merged timeline to -trace-out — load it in Perfetto or
-// chrome://tracing.
+// With -trace-out every rank records message-lifecycle events into its
+// tracing ring; the same HTTP endpoint additionally serves /debug/trace
+// (Chrome trace-event JSON, merged across ranks on rank 0) and
+// /debug/trace/flight (flight-recorder text dump). At exit the per-rank
+// traces are gathered over the communication layer and rank 0 writes one
+// merged timeline to -trace-out — load it in Perfetto or chrome://tracing.
 package main
 
 import (
@@ -84,6 +83,7 @@ func parseFlags() *options {
 	if err == nil {
 		o.apps, err = parseApps(*apps)
 	}
+	o.Trace = o.traceOut != "" // -trace-out implies tracing in every rank
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lci-launch:", err)
 		os.Exit(2)
@@ -124,8 +124,6 @@ func parent(o *options) int {
 		err = j.BindMetrics(o.MetricsAddr)
 	}
 	if err == nil {
-		// -trace-out implies tracing in every child.
-		j.Trace = o.traceOut != ""
 		err = j.Start(os.Args[1:], nil)
 	}
 	if err != nil {

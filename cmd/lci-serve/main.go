@@ -49,8 +49,7 @@ import (
 type options struct {
 	launch.Config
 
-	addr  string
-	trace bool
+	addr string
 
 	maxInFlight  int
 	maxPerClient int
@@ -69,7 +68,7 @@ func parseFlags() *options {
 	o.Scale = 12
 	o.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "client TCP endpoint (rank 0)")
-	flag.BoolVar(&o.trace, "trace", false, "record message-lifecycle traces (/debug/trace)")
+	flag.BoolVar(&o.Trace, "trace", false, "record message-lifecycle traces (/debug/trace)")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "admission: max resident queries (0 = default)")
 	flag.IntVar(&o.maxPerClient, "max-per-client", 0, "admission: max resident queries per client (0 = default)")
 	flag.IntVar(&o.cacheSize, "cache", 0, "result-cache entries (0 = default)")
@@ -116,7 +115,6 @@ func parent(o *options) int {
 	}
 	if err == nil {
 		fmt.Fprintf(os.Stderr, "lci-serve: serving clients on %s\n", clientAddr)
-		j.Trace = o.trace
 		err = j.Start(os.Args[1:], map[int][]*os.File{0: {cf}})
 	}
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	lci "lcigraph/internal/core"
 	"lcigraph/internal/fabric"
-	"lcigraph/internal/mpi"
 )
 
 // Ablations quantify the design choices DESIGN.md §5 calls out: MPI's
@@ -26,8 +25,8 @@ func AblationAdaptive(e ExpConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: Gemini sparse vs adaptive dense/sparse (cc, kron, P=%d)\n", p)
 	for _, adaptive := range []bool{false, true} {
-		cfg := Config{App: "cc", Layer: LCI, Hosts: p, Threads: e.Threads,
-			Adaptive: adaptive}
+		cfg := e.config("cc", LCI, p)
+		cfg.Adaptive = adaptive
 		mean, res := meanOf(e.Repeats, func() *Result { return RunGemini(g, cfg) })
 		name := "sparse only"
 		if adaptive {
@@ -48,7 +47,7 @@ func AblationDirectionBFS(e ExpConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: BFS push vs direction-optimizing (Abelian lci, kron, P=%d)\n", p)
 	for _, app := range []string{"bfs", "bfs-dir"} {
-		cfg := Config{App: app, Layer: LCI, Hosts: p, Threads: e.Threads, Source: 1}
+		cfg := e.config(app, LCI, p)
 		mean, res := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 		fmt.Fprintf(&b, "  %-9s total %12s  frames %d\n",
 			app, mean.Round(time.Microsecond), res.Net.Frames)
@@ -64,10 +63,8 @@ func AblationOrdering(e ExpConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: MPI message-ordering cost (Abelian mpi-probe, rmat, P=%d)\n", p)
 	for _, noOrder := range []bool{false, true} {
-		impl := mpi.IntelMPI()
-		impl.UnsafeNoOrdering = noOrder
-		cfg := Config{App: "pagerank", Layer: MPIProbe, Hosts: p, Threads: e.Threads,
-			PRIters: e.PRIters, Impl: impl}
+		cfg := e.config("pagerank", MPIProbe, p)
+		cfg.Impl.UnsafeNoOrdering = noOrder
 		mean, res := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 		name := "ordered (MPI semantics)"
 		if noOrder {
@@ -158,8 +155,8 @@ func AblationAggregation(e ExpConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: probe-layer aggregation (Abelian mpi-probe, rmat, P=%d)\n", p)
 	for _, agg := range []bool{true, false} {
-		cfg := Config{App: "pagerank", Layer: MPIProbe, Hosts: p, Threads: e.Threads,
-			PRIters: e.PRIters, NoAggregation: !agg}
+		cfg := e.config("pagerank", MPIProbe, p)
+		cfg.NoAggregation = !agg
 		mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 		name := "aggregated (buffered layer)"
 		if !agg {

@@ -204,8 +204,8 @@ func ThreadScaling(e ExpConfig, threadCounts []int) string {
 	for _, layer := range []string{LCI, MPIProbe} {
 		fmt.Fprintf(&b, "  %-10s", layer)
 		for _, tc := range threadCounts {
-			cfg := Config{App: "pagerank", Layer: layer, Hosts: p, Threads: tc,
-				PRIters: e.PRIters}
+			cfg := e.config("pagerank", layer, p)
+			cfg.Threads = tc
 			mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 			fmt.Fprintf(&b, " %12s", mean.Round(time.Microsecond))
 		}

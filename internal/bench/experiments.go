@@ -24,6 +24,11 @@ type ExpConfig struct {
 	Repeats int // mean of N runs (paper uses 5)
 	PRIters int
 	Seed    int64
+	Shards  int // progress shards per rank on the LCI layers (≤ 1: one)
+	// Profile and Impl are the NIC and MPI profiles of every run whose
+	// table does not sweep them (zero: OmniPath, IntelMPI).
+	Profile fabric.Profile
+	Impl    mpi.Impl
 }
 
 // DefaultExp returns the laptop-scale defaults.
@@ -35,7 +40,19 @@ func DefaultExp() ExpConfig {
 		Repeats: 3,
 		PRIters: 10,
 		Seed:    42,
+		Shards:  1,
+		Profile: fabric.OmniPath(),
+		Impl:    mpi.IntelMPI(),
 	}
+}
+
+// config is one run of app over layer on p hosts with the suite's settings,
+// defaults filled in.
+func (e ExpConfig) config(app, layer string, p int) Config {
+	c := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads, Source: 1,
+		PRIters: e.PRIters, Shards: e.Shards, Profile: e.Profile, Impl: e.Impl}
+	c.fill()
+	return c
 }
 
 // inputs builds the three Table I substitutes at the configured scale.
@@ -85,8 +102,8 @@ func Table1(e ExpConfig) string {
 }
 
 // Fig1Table prints the microbenchmark (Fig. 1).
-func Fig1Table(iters int) string {
-	rs := Fig1([]int{8, 256, 4096}, []int{1, 2, 4, 8}, iters, fabric.OmniPath(), mpi.IntelMPI())
+func Fig1Table(iters int, prof fabric.Profile, impl mpi.Impl) string {
+	rs := Fig1([]int{8, 256, 4096}, []int{1, 2, 4, 8}, iters, prof, impl)
 	var b strings.Builder
 	b.WriteString("Fig 1: latency and message rate, MPI no-probe / MPI probe / LCI queue\n")
 	b.WriteString(FormatMicro(rs))
@@ -128,11 +145,7 @@ func (e ExpConfig) runMatrix(framework string, layers []string, hosts []int,
 			g := graphs[gn]
 			for _, p := range hosts {
 				for _, layer := range layers {
-					cfg := Config{
-						App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-						Source: 1, PRIters: e.PRIters,
-						Profile: fabric.OmniPath(), Impl: mpi.IntelMPI(),
-					}
+					cfg := e.config(app, layer, p)
 					mean, res := meanOf(e.Repeats, func() *Result {
 						if framework == "gemini" {
 							return RunGemini(g, cfg)
@@ -239,9 +252,7 @@ func Fig5(e ExpConfig) string {
 	fmt.Fprintf(&b, "  %-9s %-9s %14s %14s\n", "app", "layer", "max(bytes)", "min(bytes)")
 	for _, app := range Apps() {
 		for _, layer := range []string{LCI, MPIRMA} {
-			cfg := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-				Source: 1, PRIters: e.PRIters}
-			res := RunAbelian(g, cfg)
+			res := RunAbelian(g, e.config(app, layer, p))
 			fmt.Fprintf(&b, "  %-9s %-9s %14d %14d\n", app, layer, res.MemMax, res.MemMin)
 		}
 	}
@@ -258,9 +269,7 @@ func Fig6(e ExpConfig) string {
 	fmt.Fprintf(&b, "  %-9s %-9s %12s %12s %12s\n", "app", "layer", "compute", "comm", "total")
 	for _, app := range Apps() {
 		for _, layer := range Layers() {
-			cfg := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-				Source: 1, PRIters: e.PRIters}
-			res := RunAbelian(g, cfg)
+			res := RunAbelian(g, e.config(app, layer, p))
 			fmt.Fprintf(&b, "  %-9s %-9s %12s %12s %12s\n", app, layer,
 				res.MaxCompute().Round(time.Microsecond),
 				res.MaxComm().Round(time.Microsecond),
@@ -289,8 +298,8 @@ func Table2(e ExpConfig) string {
 		fmt.Fprintf(&b, "  %-9s", app)
 		for _, pr := range profs {
 			for _, layer := range Layers() {
-				cfg := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-					Source: 1, PRIters: e.PRIters, Profile: pr}
+				cfg := e.config(app, layer, p)
+				cfg.Profile = pr
 				mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 				fmt.Fprintf(&b, " %20s", mean.Round(time.Microsecond))
 			}
@@ -332,8 +341,8 @@ func Portability(e ExpConfig) string {
 		for _, layer := range []string{LCI, MPIProbe} {
 			fmt.Fprintf(&b, "  %-9s %-9s", app, layer)
 			for _, pr := range profs {
-				cfg := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-					PRIters: e.PRIters, Profile: pr}
+				cfg := e.config(app, layer, p)
+				cfg.Profile = pr
 				mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 				fmt.Fprintf(&b, " %14s", mean.Round(time.Microsecond))
 			}
@@ -352,14 +361,13 @@ func Table4(e ExpConfig) string {
 	fmt.Fprintf(&b, "Table IV: other MPI implementations, Abelian rmat @ P=%d\n", p)
 	fmt.Fprintf(&b, "  %-9s %-18s %12s\n", "app", "runtime", "time")
 	for _, app := range []string{"cc", "pagerank"} {
-		cfg := Config{App: app, Layer: LCI, Hosts: p, Threads: e.Threads,
-			Source: 1, PRIters: e.PRIters}
+		cfg := e.config(app, LCI, p)
 		mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 		fmt.Fprintf(&b, "  %-9s %-18s %12s\n", app, "lci", mean.Round(time.Microsecond))
 		for _, impl := range mpi.Impls() {
 			for _, layer := range []string{MPIProbe, MPIRMA} {
-				cfg := Config{App: app, Layer: layer, Hosts: p, Threads: e.Threads,
-					Source: 1, PRIters: e.PRIters, Impl: impl}
+				cfg := e.config(app, layer, p)
+				cfg.Impl = impl
 				mean, _ := meanOf(e.Repeats, func() *Result { return RunAbelian(g, cfg) })
 				fmt.Fprintf(&b, "  %-9s %-18s %12s\n", app, impl.Name+"/"+layer,
 					mean.Round(time.Microsecond))

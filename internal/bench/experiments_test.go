@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"lcigraph/internal/fabric"
+	"lcigraph/internal/mpi"
 )
 
 // smokeExp is a minimal config so every experiment driver runs in
@@ -49,7 +52,7 @@ func TestExperimentDriversSmoke(t *testing.T) {
 
 // TestFig1TableSmoke runs the microbenchmark driver with few iterations.
 func TestFig1TableSmoke(t *testing.T) {
-	out := Fig1Table(40)
+	out := Fig1Table(40, fabric.OmniPath(), mpi.IntelMPI())
 	for _, w := range []string{"no-probe", "probe", "queue", "latency", "ratio"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("Fig1 output missing %q:\n%s", w, out)

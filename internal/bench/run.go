@@ -70,6 +70,9 @@ type Config struct {
 	// Trace, if non-nil, collects per-round records from every host
 	// (Abelian runs).
 	Trace *trace.Trace
+	// Shards is the progress-shard count per rank on the LCI layers
+	// (≤ 1: one).
+	Shards int
 }
 
 // Result is one run's measurements.
@@ -122,13 +125,12 @@ func NetStatsFromSnapshot(s *telemetry.Snapshot) NetStats {
 	}
 }
 
-// hostRegistries builds one registry per host (honoring LCI_NO_TELEMETRY)
-// and registers each host's fabric provider into its own, so in-process
+// hostRegistries builds one live registry per host and registers each host's fabric provider into its own, so in-process
 // multi-host runs keep per-rank metrics separable until the final merge.
 func hostRegistries(feps []fabric.Provider) []*telemetry.Registry {
 	regs := make([]*telemetry.Registry, len(feps))
 	for r, fep := range feps {
-		regs[r] = telemetry.New(r)
+		regs[r] = telemetry.NewEnabled(r)
 		if mr, ok := fep.(fabric.MetricsRegistrar); ok {
 			mr.RegisterMetrics(regs[r])
 		}
@@ -183,15 +185,14 @@ func (c *Config) fill() {
 // LCIOptions sizes the LCI endpoint for a P-host graph run. The SPMD
 // launcher (internal/launch) uses the same sizing so multi-process runs
 // match the in-process harness.
-// The budgets are rank-global: under LCI_ENDPOINT_SHARDS=K (the default
-// Shards here) lci.NewSharded partitions them K ways.
+// The budgets are rank-global: with Shards = K, lci.NewSharded partitions
+// them K ways.
 func LCIOptions(p, threads int) lci.Options {
 	return lci.Options{
 		PoolPackets:    64 * p,
 		QueueDepth:     1024,
 		MaxOutstanding: 1024,
 		Workers:        threads + 1,
-		Shards:         lci.ShardsFromEnv(),
 	}
 }
 
@@ -240,6 +241,7 @@ func RunAbelian(g *graph.Graph, cfg Config) *Result {
 		switch cfg.Layer {
 		case LCI:
 			opt := LCIOptions(cfg.Hosts, cfg.Threads)
+			opt.Shards = cfg.Shards
 			opt.Telemetry = regs[r]
 			return comm.NewLCILayer(feps[r], opt)
 		case MPIProbe:
@@ -337,6 +339,7 @@ func RunGemini(g *graph.Graph, cfg Config) *Result {
 		switch cfg.Layer {
 		case LCI:
 			opt := LCIOptions(cfg.Hosts, cfg.Threads)
+			opt.Shards = cfg.Shards
 			opt.Telemetry = regs[r]
 			return comm.NewLCIStream(feps[r], opt)
 		case MPIProbe:

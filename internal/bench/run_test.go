@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"lcigraph/internal/fabric"
@@ -41,6 +42,31 @@ func TestAbelianAllAppsAllLayers(t *testing.T) {
 					t.Fatalf("suspicious measurements: %+v", r)
 				}
 			})
+		}
+	}
+}
+
+// TestShardsReachEndpoints: Config.Shards (experiments -shards) shards
+// every LCI endpoint of an in-process run, on both frameworks, and the
+// results still match the oracle.
+func TestShardsReachEndpoints(t *testing.T) {
+	g := testGraph()
+	for _, run := range []struct {
+		name string
+		fn   func(*graph.Graph, Config) *Result
+	}{{"abelian", RunAbelian}, {"gemini", RunGemini}} {
+		cfg := testCfg("bfs", LCI)
+		cfg.Shards = 2
+		r := run.fn(g, cfg)
+		if err := Verify(g, r); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		sharded := false
+		for name := range r.Snapshot.Counters {
+			sharded = sharded || strings.Contains(name, `shard="1"`)
+		}
+		if !sharded {
+			t.Errorf("%s: no shard-1 counter in the run's telemetry", run.name)
 		}
 	}
 }

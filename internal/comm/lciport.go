@@ -77,7 +77,7 @@ func (p *lciPort) start(fep fabric.Provider, opt lci.Options, deliver func(Messa
 		p.workers[i] = p.ep.RegisterWorker()
 	}
 	p.met = newLayerMetrics(opt.Telemetry, p.Name())
-	p.met.tr = p.ep.Tracer() // endpoint already resolved opt.Tracer / default
+	p.met.tr = p.ep.Tracer()
 	go func() {
 		defer close(p.served)
 		p.ep.Serve(p.stop)

@@ -43,8 +43,8 @@ type TelemetryProvider interface {
 
 // layerMetrics is the per-layer handle set. The zero value is a no-op
 // (nil-safe telemetry methods), so a disabled registry costs one branch per
-// send. tr is the lifecycle tracer (nil = dark path); it defaults to the
-// process-wide tracer and is rewired by layers that receive one explicitly.
+// send. tr is the lifecycle tracer (nil = dark path), wired by layers that
+// receive one explicitly.
 type layerMetrics struct {
 	reg        *telemetry.Registry
 	msgBytes   *telemetry.Histogram
@@ -57,7 +57,7 @@ func newLayerMetrics(reg *telemetry.Registry, layer string) layerMetrics {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	m := layerMetrics{reg: reg, tr: tracing.Default()}
+	m := layerMetrics{reg: reg}
 	if !reg.Enabled() {
 		return m
 	}

@@ -80,9 +80,7 @@ func (l *ProbeLayer) Telemetry() *telemetry.Registry { return l.met.reg }
 func (l *ProbeLayer) SetTelemetry(reg *telemetry.Registry) {
 	tr := l.met.tr
 	l.met = newLayerMetrics(reg, l.Name())
-	if tr != nil {
-		l.met.tr = tr // keep an explicitly wired tracer across registry swaps
-	}
+	l.met.tr = tr // keep an explicitly wired tracer across registry swaps
 	l.recHist = l.met.reg.Histogram(MetricBundleRecords)
 }
 

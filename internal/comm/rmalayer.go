@@ -99,9 +99,7 @@ func (l *RMALayer) Telemetry() *telemetry.Registry { return l.met.reg }
 func (l *RMALayer) SetTelemetry(reg *telemetry.Registry) {
 	tr := l.met.tr
 	l.met = newLayerMetrics(reg, l.Name())
-	if tr != nil {
-		l.met.tr = tr // keep an explicitly wired tracer across registry swaps
-	}
+	l.met.tr = tr // keep an explicitly wired tracer across registry swaps
 }
 
 // SetTracer rewires the layer's lifecycle tracer (nil disables). Call

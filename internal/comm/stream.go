@@ -132,9 +132,7 @@ func (s *MPIStream) Telemetry() *telemetry.Registry { return s.met.reg }
 func (s *MPIStream) SetTelemetry(reg *telemetry.Registry) {
 	tr := s.met.tr
 	s.met = newLayerMetrics(reg, s.Name())
-	if tr != nil {
-		s.met.tr = tr // keep an explicitly wired tracer across registry swaps
-	}
+	s.met.tr = tr // keep an explicitly wired tracer across registry swaps
 }
 
 // SetTracer rewires the stream's lifecycle tracer (nil disables). Call

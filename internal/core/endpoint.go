@@ -39,13 +39,15 @@ type Options struct {
 	// Allocator provides rendezvous receive buffers.
 	Allocator Allocator
 	// Telemetry is the metrics registry the endpoint reports into. Nil
-	// selects the process-wide default registry (which honours
-	// LCI_NO_TELEMETRY); pass telemetry.NewDisabled to opt out explicitly.
+	// selects the process-wide default registry; pass telemetry.NewDisabled
+	// to opt out explicitly.
 	Telemetry *telemetry.Registry
-	// Tracer is the message-lifecycle event ring. Nil selects the
-	// process-wide default tracer, which is itself nil — the no-op dark
-	// path — unless LCI_TRACE is set.
+	// Tracer is the message-lifecycle event ring. Nil is the no-op dark
+	// path: tracing off.
 	Tracer *tracing.Tracer
+	// InjectStall, when non-nil, wedges the named shard's progress server
+	// once (fault injection; see inject.go). Nil in production.
+	InjectStall *StallSpec
 
 	// Shards is the number of progress shards NewSharded builds (see
 	// shard.go). ≤ 1 (the default) keeps today's single progress server.
@@ -196,8 +198,8 @@ type Endpoint struct {
 	// transports only), drained by Progress.
 	frags []*fragJob
 
-	// injectStall is the armed LCI_INJECT_STALL fault (nil in production);
-	// see inject.go.
+	// injectStall is the armed Options.InjectStall fault (nil in
+	// production); see inject.go.
 	injectStall *stallInjection
 
 	statEager      atomic.Int64
@@ -297,7 +299,7 @@ func NewEndpoint(fep fabric.Provider, opt Options) *Endpoint {
 		e.shardTotal = 1
 	}
 	e.idBits = uint32(e.shardIdx) << shardIDShift
-	e.injectStall = injectStallFor(e.shardIdx)
+	e.injectStall = opt.InjectStall.armFor(e.shardIdx)
 	e.serverWorker = e.pool.RegisterWorker()
 	reg := opt.Telemetry
 	if reg == nil {
@@ -305,9 +307,6 @@ func NewEndpoint(fep fabric.Provider, opt Options) *Endpoint {
 	}
 	e.initMetrics(reg)
 	e.tr = opt.Tracer
-	if e.tr == nil {
-		e.tr = tracing.Default()
-	}
 	e.rank = fep.Rank()
 	e.bell, _ = fep.(fabric.Doorbell)
 	e.owner = e.bell

@@ -8,20 +8,24 @@ import (
 	"time"
 )
 
-// Fault injection for the progress server itself: LCI_INJECT_STALL wedges
-// one shard's progress goroutine for a window, simulating the failure the
-// health monitor's stuck-rank detector exists to catch (a progress loop
+// Fault injection for the progress server itself: Options.InjectStall
+// wedges one shard's progress goroutine for a window, simulating the failure
+// the health monitor's stuck-rank detector exists to catch (a progress loop
 // blocked in a syscall, livelocked, or descheduled for good). The launchers
-// set the variable for a single target rank, so the hook only needs to
-// match the shard.
+// set it on a single target rank's options, so the hook only needs to match
+// the shard.
 //
-// Format: "shard:after:dur" — shard index, delay from Serve start, and
-// stall duration, e.g. "1:3s:10s" wedges shard 1 for 10s starting 3s in.
-// The stall is one-shot and respects stop, so shutdown is never hostage to
-// an injected wedge.
+// The -inject-stall spec after the rank is "shard:after:dur" — shard index,
+// delay from Serve start, and stall duration, e.g. "1:3s:10s" wedges shard 1
+// for 10s starting 3s in. The stall is one-shot and respects stop, so
+// shutdown is never hostage to an injected wedge.
 
-// EnvInjectStall is the environment knob, read once per process.
-const EnvInjectStall = "LCI_INJECT_STALL"
+// StallSpec is one parsed injection: which shard to wedge, when and for how
+// long.
+type StallSpec struct {
+	Shard      int
+	After, Dur time.Duration
+}
 
 // stallInjection is one shard's pending injected wedge (nil on every
 // production endpoint: the Serve loop pays a single predictable branch).
@@ -31,40 +35,35 @@ type stallInjection struct {
 	done  bool // one-shot latch, server goroutine only
 }
 
-// ParseInjectStall parses an LCI_INJECT_STALL value. Exported so the
+// ParseInjectStall parses a "shard:after:dur" spec. Exported so the
 // launchers can validate their -inject-stall flag with the same grammar.
-func ParseInjectStall(s string) (shard int, after, dur time.Duration, err error) {
+func ParseInjectStall(s string) (*StallSpec, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("want shard:after:dur, got %q", s)
+		return nil, fmt.Errorf("want shard:after:dur, got %q", s)
 	}
-	shard, err = strconv.Atoi(parts[0])
+	shard, err := strconv.Atoi(parts[0])
 	if err != nil || shard < 0 {
-		return 0, 0, 0, fmt.Errorf("bad shard in %q", s)
+		return nil, fmt.Errorf("bad shard in %q", s)
 	}
-	after, err = time.ParseDuration(parts[1])
+	after, err := time.ParseDuration(parts[1])
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad after in %q: %v", s, err)
+		return nil, fmt.Errorf("bad after in %q: %v", s, err)
 	}
-	dur, err = time.ParseDuration(parts[2])
+	dur, err := time.ParseDuration(parts[2])
 	if err != nil || dur <= 0 {
-		return 0, 0, 0, fmt.Errorf("bad dur in %q", s)
+		return nil, fmt.Errorf("bad dur in %q", s)
 	}
-	return shard, after, dur, nil
+	return &StallSpec{Shard: shard, After: after, Dur: dur}, nil
 }
 
-// injectStallFor returns the injection this shard should arm, nil for all
-// shards when the knob is unset or malformed.
-func injectStallFor(shardIdx int) *stallInjection {
-	v := os.Getenv(EnvInjectStall)
-	if v == "" {
+// armFor returns the injection shard shardIdx should arm: nil unless the
+// spec names that shard.
+func (s *StallSpec) armFor(shardIdx int) *stallInjection {
+	if s == nil || s.Shard != shardIdx {
 		return nil
 	}
-	shard, after, dur, err := ParseInjectStall(v)
-	if err != nil || shard != shardIdx {
-		return nil
-	}
-	return &stallInjection{after: after, dur: dur}
+	return &stallInjection{after: s.After, dur: s.Dur}
 }
 
 // maybeInjectStall wedges the calling (server) goroutine once the arm delay

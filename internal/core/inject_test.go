@@ -8,24 +8,37 @@ import (
 )
 
 func TestParseInjectStall(t *testing.T) {
-	shard, after, dur, err := ParseInjectStall("1:3s:10s")
-	if err != nil || shard != 1 || after != 3*time.Second || dur != 10*time.Second {
-		t.Fatalf("got shard=%d after=%v dur=%v err=%v", shard, after, dur, err)
-	}
-	for _, bad := range []string{"", "1:3s", "x:3s:10s", "-1:3s:10s", "1:nope:10s", "1:3s:0s", "1:3s:10s:extra"} {
-		if _, _, _, err := ParseInjectStall(bad); err == nil {
-			t.Errorf("ParseInjectStall(%q) accepted", bad)
+	for _, tc := range []struct {
+		in   string
+		want *StallSpec // nil: rejected
+	}{
+		{"1:3s:10s", &StallSpec{Shard: 1, After: 3 * time.Second, Dur: 10 * time.Second}},
+		{"0:0s:1ms", &StallSpec{Dur: time.Millisecond}},
+		{"", nil},
+		{"1:3s", nil},
+		{"x:3s:10s", nil},
+		{"-1:3s:10s", nil},
+		{"1:nope:10s", nil},
+		{"1:3s:0s", nil},
+		{"1:3s:10s:extra", nil},
+	} {
+		got, err := ParseInjectStall(tc.in)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("ParseInjectStall(%q) accepted: %+v", tc.in, got)
+		case tc.want != nil && (err != nil || *got != *tc.want):
+			t.Errorf("ParseInjectStall(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
 	}
 }
 
-// TestInjectStallWedgesServe: with the knob set for shard 0, Serve must go
-// quiet for the configured window (the progress counter stops advancing),
-// and stop must still win against a long wedge.
+// TestInjectStallWedgesServe: with Options.InjectStall naming shard 0,
+// Serve must go quiet for the configured window (the progress counter stops
+// advancing), and stop must still win against a long wedge.
 func TestInjectStallWedgesServe(t *testing.T) {
-	t.Setenv(EnvInjectStall, "0:50ms:30s")
 	f := fabric.New(1, fabric.TestProfile())
-	e := NewEndpoint(f.Endpoint(0), Options{})
+	e := NewEndpoint(f.Endpoint(0), Options{
+		InjectStall: &StallSpec{Shard: 0, After: 50 * time.Millisecond, Dur: 30 * time.Second}})
 	if e.injectStall == nil {
 		t.Fatal("injection not armed for shard 0")
 	}
@@ -47,12 +60,17 @@ func TestInjectStallWedgesServe(t *testing.T) {
 }
 
 // TestInjectStallShardMismatch: an injection naming another shard must not
-// arm on shard 0.
+// arm on shard 0, and in a sharded rank only the named shard arms it.
 func TestInjectStallShardMismatch(t *testing.T) {
-	t.Setenv(EnvInjectStall, "3:1ms:1s")
 	f := fabric.New(1, fabric.TestProfile())
-	e := NewEndpoint(f.Endpoint(0), Options{})
+	e := NewEndpoint(f.Endpoint(0), Options{
+		InjectStall: &StallSpec{Shard: 3, After: time.Millisecond, Dur: time.Second}})
 	if e.injectStall != nil {
 		t.Fatal("injection armed on the wrong shard")
+	}
+	s := NewSharded(fabric.New(1, fabric.TestProfile()).Endpoint(0), Options{Shards: 2,
+		InjectStall: &StallSpec{Shard: 1, After: time.Millisecond, Dur: time.Second}})
+	if s.eps[0].injectStall != nil || s.eps[1].injectStall == nil {
+		t.Fatalf("sharded arming: shard 0 %v, shard 1 %v", s.eps[0].injectStall, s.eps[1].injectStall)
 	}
 }

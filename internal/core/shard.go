@@ -1,8 +1,6 @@
 package lci
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -108,29 +106,6 @@ type Sharded struct {
 	k     int
 	byTag bool
 	rr    atomic.Uint32 // RecvDeq round-robin cursor
-}
-
-// EnvShards is the environment knob for the progress-shard count, read by
-// ShardsFromEnv. The SPMD launcher resolves it the same way (unless
-// -shards overrides it) to align the netfabric reuseport reader group.
-const EnvShards = "LCI_ENDPOINT_SHARDS"
-
-// ShardsFromEnv returns the shard count requested via LCI_ENDPOINT_SHARDS,
-// clamped to [1, MaxShards]; 1 (today's single-server behavior) when unset
-// or unparsable.
-func ShardsFromEnv() int {
-	s := os.Getenv(EnvShards)
-	if s == "" {
-		return 1
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 1
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	return n
 }
 
 // ceilDiv splits a rank-global budget across k shards without shrinking the

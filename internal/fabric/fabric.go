@@ -194,6 +194,17 @@ func Sockets() Profile {
 	}
 }
 
+// ProfileByName returns the named NIC profile: omnipath, infiniband or
+// sockets.
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range []Profile{OmniPath(), InfiniBand(), Sockets()} {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("unknown NIC profile %q (want omnipath, infiniband or sockets)", name)
+}
+
 // TestProfile is a fast zero-overhead profile for unit tests.
 func TestProfile() Profile {
 	return Profile{

@@ -15,7 +15,7 @@ const (
 	AlertSLOLatency     = "slo_latency"     // serving windowed p99 over budget
 	AlertSLOShed        = "slo_shed"        // admission shedding most queries
 	AlertRankStuck      = "rank_stuck"      // peer missed MissedBeats heartbeats
-	AlertSuperstepSkew  = "superstep_skew"  // one rank waits SkewFactor× the mean at barriers
+	AlertSuperstepSkew  = "superstep_skew"  // one rank waits sloSkewFactor× the mean at barriers
 )
 
 // detectState is the detectors' cross-tick memory (guarded by Monitor.mu).
@@ -67,7 +67,7 @@ func (m *Monitor) judgeLocked(now time.Time, a Alert, bad bool) {
 			return
 		}
 		st.enter++
-		if st.enter >= m.opt.SLO.EnterTicks {
+		if st.enter >= sloEnterTicks {
 			a.SinceNs = now.UnixNano()
 			st.alert = a
 			st.active = true
@@ -84,7 +84,7 @@ func (m *Monitor) judgeLocked(now time.Time, a Alert, bad bool) {
 		return
 	}
 	st.clear++
-	if st.clear >= m.opt.SLO.ClearTicks {
+	if st.clear >= sloClearTicks {
 		st.active = false
 		st.clear = 0
 		m.ops.Event("alert_cleared", opsAlertFields(st.alert))
@@ -117,8 +117,8 @@ func (m *Monitor) detectLocal(now time.Time, snap *telemetry.Snapshot, dt float6
 // still polls at least once per backstop (a server parked on a doorbell
 // wakes after about 1 ms and publishes its tallies before it parks again;
 // one that backs off sleeps about 1 ms between polls), so zero delta can
-// only mean the goroutine is stuck (precisely what LCI_INJECT_STALL
-// fabricates for CI).
+// only mean the goroutine is stuck (precisely what -inject-stall fabricates
+// for CI).
 func (m *Monitor) detectProgress(now time.Time, snap *telemetry.Snapshot, dt float64) {
 	cur := map[int]int64{}
 	for name, v := range snap.Counters {
@@ -170,7 +170,7 @@ func (m *Monitor) detectTransport(now time.Time, snap *telemetry.Snapshot) {
 }
 
 // detectServeSLO evaluates the serving budget over the window's own traffic:
-// the delta histogram's p99 against SLO.ServeP99, and the shed fraction of
+// the delta histogram's p99 against sloServeP99, and the shed fraction of
 // admission decisions. Both gate on MinSamples so idle windows never judge.
 func (m *Monitor) detectServeSLO(now time.Time, snap *telemetry.Snapshot) {
 	// Windowed p99 across all ops.
@@ -191,8 +191,8 @@ func (m *Monitor) detectServeSLO(now time.Time, snap *telemetry.Snapshot) {
 		Name: AlertSLOLatency, Rank: m.opt.Rank, Shard: -1,
 		Severity: SevWarn, Value: float64(p99.Nanoseconds()),
 		Detail: fmt.Sprintf("rank %d serving p99 %.0fms over %d queries exceeds the %.0fms budget",
-			m.opt.Rank, float64(p99)/1e6, win.Count, float64(m.opt.SLO.ServeP99)/1e6),
-	}, win.Count >= m.opt.SLO.MinSamples && p99 > m.opt.SLO.ServeP99)
+			m.opt.Rank, float64(p99)/1e6, win.Count, float64(sloServeP99)/1e6),
+	}, win.Count >= sloMinSamples && p99 > sloServeP99)
 
 	// Shed fraction of all admission decisions this window.
 	var shed, total int64
@@ -218,8 +218,8 @@ func (m *Monitor) detectServeSLO(now time.Time, snap *telemetry.Snapshot) {
 		Name: AlertSLOShed, Rank: m.opt.Rank, Shard: -1,
 		Severity: SevWarn, Value: frac,
 		Detail: fmt.Sprintf("rank %d shed %.0f%% of %d queries this window (budget %.0f%%)",
-			m.opt.Rank, frac*100, total, m.opt.SLO.ShedFraction*100),
-	}, total >= m.opt.SLO.MinSamples && frac > m.opt.SLO.ShedFraction)
+			m.opt.Rank, frac*100, total, sloShedFraction*100),
+	}, total >= sloMinSamples && frac > sloShedFraction)
 }
 
 // detectCluster runs rank 0's cluster-wide detectors over the peer digests:
@@ -250,12 +250,12 @@ func (m *Monitor) detectCluster(now time.Time) {
 		default:
 			continue // pumping never started; nothing to judge
 		}
-		bad := pumpLive && age > time.Duration(m.opt.SLO.MissedBeats)*beat
+		bad := pumpLive && age > time.Duration(sloMissedBeats)*beat
 		m.judgeLocked(now, Alert{
 			Name: AlertRankStuck, Rank: r, Shard: -1,
 			Severity: SevCritical, Value: age.Seconds(),
 			Detail: fmt.Sprintf("rank %d missed %d heartbeats (last digest %.1fs ago)",
-				r, m.opt.SLO.MissedBeats, age.Seconds()),
+				r, sloMissedBeats, age.Seconds()),
 		}, bad)
 	}
 
@@ -294,8 +294,8 @@ func (m *Monitor) detectCluster(now time.Time) {
 			mean := float64(sum) / float64(m.opt.Ranks)
 			skew := float64(worst) / mean
 			m.det.skewRank, m.det.skewVal = worstRank, skew
-			bad := skew > m.opt.SLO.SkewFactor &&
-				float64(worst) > m.opt.SLO.SkewFraction*float64(window.Nanoseconds())
+			bad := skew > sloSkewFactor &&
+				float64(worst) > sloSkewFraction*float64(window.Nanoseconds())
 			m.judgeLocked(now, Alert{
 				Name: AlertSuperstepSkew, Rank: worstRank, Shard: -1,
 				Severity: SevWarn, Value: skew,

@@ -99,64 +99,37 @@ func (a Alert) key() string {
 	return fmt.Sprintf("%s/r%d/s%d", a.Name, a.Rank, a.Shard)
 }
 
-// SLO tunes the detectors. Zero values select defaults chosen so a healthy
-// lossy-UDP soak (the CI configuration: 4 ranks, 5% loss) stays at zero
-// latched alerts, while a wedged progress shard or a genuinely burning
-// serving budget trips within a few ticks.
-type SLO struct {
-	// ServeP99 is the serving latency budget evaluated over each window's
-	// delta histogram (default 2s — far above a lossy tail, squarely below
-	// a hung query).
-	ServeP99 time.Duration
-	// ShedFraction alerts when shed/(ok+shed+error) over a window exceeds
-	// it (default 0.5: most admission decisions bouncing).
-	ShedFraction float64
-	// MinSamples gates both serving detectors: windows with fewer admitted
-	// queries are skipped (default 50).
-	MinSamples int64
-	// SkewFactor alerts when the worst rank's barrier-wait share of a
-	// window exceeds SkewFraction AND is SkewFactor× the rank mean
-	// (default 3).
-	SkewFactor float64
-	// SkewFraction is the absolute significance floor for the skew
+// Detector thresholds, chosen so a healthy lossy-UDP soak (the CI
+// configuration: 4 ranks, 5% loss) stays at zero latched alerts, while a
+// wedged progress shard or a genuinely burning serving budget trips within a
+// few ticks.
+const (
+	// sloServeP99 is the serving latency budget evaluated over each
+	// window's delta histogram: far above a lossy tail, squarely below a
+	// hung query.
+	sloServeP99 = 2 * time.Second
+	// sloShedFraction alerts when shed/(ok+shed+error) over a window
+	// exceeds it: most admission decisions bouncing.
+	sloShedFraction = 0.5
+	// sloMinSamples gates both serving detectors: windows with fewer
+	// admitted queries are skipped.
+	sloMinSamples = 50
+	// sloSkewFactor alerts when the worst rank's barrier-wait share of a
+	// window exceeds sloSkewFraction AND is sloSkewFactor× the rank mean.
+	sloSkewFactor = 3
+	// sloSkewFraction is the absolute significance floor for the skew
 	// detector: the worst rank must spend at least this fraction of the
-	// window waiting at barriers (default 0.5).
-	SkewFraction float64
-	// EnterTicks consecutive bad evaluations latch an alert (default 2);
-	// ClearTicks consecutive good ones clear it (default 5).
-	EnterTicks, ClearTicks int
-	// MissedBeats heartbeat intervals without a digest from a peer flip it
-	// to rank_stuck (default 3). Only evaluated while rank 0's own Pump is
-	// live, so idle phases (no loop driving the layer) never false-alarm.
-	MissedBeats int
-}
-
-func (s *SLO) fill() {
-	if s.ServeP99 <= 0 {
-		s.ServeP99 = 2 * time.Second
-	}
-	if s.ShedFraction <= 0 {
-		s.ShedFraction = 0.5
-	}
-	if s.MinSamples <= 0 {
-		s.MinSamples = 50
-	}
-	if s.SkewFactor <= 0 {
-		s.SkewFactor = 3
-	}
-	if s.SkewFraction <= 0 {
-		s.SkewFraction = 0.5
-	}
-	if s.EnterTicks <= 0 {
-		s.EnterTicks = 2
-	}
-	if s.ClearTicks <= 0 {
-		s.ClearTicks = 5
-	}
-	if s.MissedBeats <= 0 {
-		s.MissedBeats = 3
-	}
-}
+	// window waiting at barriers.
+	sloSkewFraction = 0.5
+	// sloEnterTicks consecutive bad evaluations latch an alert;
+	// sloClearTicks consecutive good ones clear it.
+	sloEnterTicks = 2
+	sloClearTicks = 5
+	// sloMissedBeats heartbeat intervals without a digest from a peer flip
+	// it to rank_stuck. Only evaluated while rank 0's own Pump is live, so
+	// idle phases (no loop driving the layer) never false-alarm.
+	sloMissedBeats = 3
+)
 
 // Options configures a Monitor.
 type Options struct {
@@ -179,7 +152,6 @@ type Options struct {
 	// OpsLogPath, when non-empty, appends structured JSONL ops events
 	// (rank 0 is the natural place: it sees cluster-wide transitions).
 	OpsLogPath string
-	SLO        SLO
 }
 
 func (o *Options) fill() {
@@ -195,7 +167,6 @@ func (o *Options) fill() {
 	if o.MaxSeries <= 0 {
 		o.MaxSeries = 256
 	}
-	o.SLO.fill()
 }
 
 // Monitor is one rank's health monitor. All exported methods are safe on a

@@ -97,7 +97,7 @@ func TestProgressStallLatchesOncePerEpisode(t *testing.T) {
 	if m.FiredTotal() != 1 {
 		t.Fatalf("episode re-fired: FiredTotal = %d", m.FiredTotal())
 	}
-	for i := 0; i < m.opt.SLO.ClearTicks; i++ {
+	for i := 0; i < sloClearTicks; i++ {
 		step(1000)
 	}
 	if m.Status() != StatusOK || len(m.ActiveAlerts()) != 0 {
@@ -380,11 +380,12 @@ func TestNilMonitorSafe(t *testing.T) {
 	m.Close()
 }
 
-// servedSimRank runs one sim rank's progress server until the test ends and
-// returns its registry.
-func servedSimRank(t *testing.T) *telemetry.Registry {
+// servedSimRank runs one sim rank's progress server, with stall injected
+// when non-nil, until the test ends and returns its registry.
+func servedSimRank(t *testing.T, stall *lci.StallSpec) *telemetry.Registry {
 	reg := telemetry.NewEnabled(0)
-	s := lci.NewSharded(fabric.New(1, fabric.TestProfile()).Endpoint(0), lci.Options{Telemetry: reg})
+	s := lci.NewSharded(fabric.New(1, fabric.TestProfile()).Endpoint(0),
+		lci.Options{Telemetry: reg, InjectStall: stall})
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -405,17 +406,17 @@ func polls(reg *telemetry.Registry) int64 {
 // TestParkedServerNoFalseStall: an idle sim rank's server parks on the
 // fabric's doorbell, but still passes at least once per backstop and
 // publishes its poll tallies before it parks, so ticks raise no
-// progress_stall. With LCI_INJECT_STALL the wedged shard still raises one.
+// progress_stall. With an injected stall the wedged shard still raises one.
 // Ticks follow the server's park counter, not the wall clock.
 func TestParkedServerNoFalseStall(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
-		reg := servedSimRank(t)
+		reg := servedSimRank(t, nil)
 		m := New(Options{Rank: 0, Ranks: 1, Reg: reg})
 		defer m.Close()
 		parks := reg.Counter(lci.MetricParks)
 		now := time.Unix(1000, 0)
 		var last int64
-		for tick := 0; tick < 2+2*m.opt.SLO.EnterTicks; tick++ {
+		for tick := 0; tick < 2+2*sloEnterTicks; tick++ {
 			// Two more parks: the server woke, passed and published its
 			// tallies before it parked again.
 			for p := parks.Value(); parks.Value() < p+2; {
@@ -434,8 +435,7 @@ func TestParkedServerNoFalseStall(t *testing.T) {
 		}
 	})
 	t.Run("inject-stall", func(t *testing.T) {
-		t.Setenv(lci.EnvInjectStall, "0:50ms:1h")
-		reg := servedSimRank(t)
+		reg := servedSimRank(t, &lci.StallSpec{Shard: 0, After: 50 * time.Millisecond, Dur: time.Hour})
 		m := New(Options{Rank: 0, Ranks: 1, Reg: reg})
 		defer m.Close()
 		for polls(reg) == 0 {

@@ -43,6 +43,13 @@ type Trigger struct {
 	AtNs   int64         `json:"at_ns"`
 }
 
+// Each continuous-profiling cycle's CPU window, and the ring length per
+// profile kind.
+const (
+	profileDuration = 2 * time.Second
+	profileKeep     = 4
+)
+
 // Options configures a Recorder.
 type Options struct {
 	Rank, Ranks int
@@ -56,11 +63,9 @@ type Options struct {
 	// the live CPU profile).
 	CPUProfile time.Duration
 	// ProfilePeriod is the continuous-profiling cadence (default 60s;
-	// <0 disables). Each cycle archives one ProfileDuration CPU window and
-	// one goroutine snapshot into a ring of ProfileKeep entries per kind.
-	ProfilePeriod   time.Duration
-	ProfileDuration time.Duration // default 2s
-	ProfileKeep     int           // default 4
+	// <0 disables). Each cycle archives one profileDuration CPU window and
+	// one goroutine snapshot into a ring of profileKeep entries per kind.
+	ProfilePeriod time.Duration
 	// GatherTimeout bounds rank 0's wait for peer evidence (default 10s).
 	GatherTimeout time.Duration
 	// Cooldown spaces captures (default 30s): a flapping detector coalesces
@@ -77,12 +82,6 @@ func (o *Options) fill() {
 	}
 	if o.ProfilePeriod == 0 {
 		o.ProfilePeriod = 60 * time.Second
-	}
-	if o.ProfileDuration <= 0 {
-		o.ProfileDuration = 2 * time.Second
-	}
-	if o.ProfileKeep <= 0 {
-		o.ProfileKeep = 4
 	}
 	if o.GatherTimeout <= 0 {
 		o.GatherTimeout = 10 * time.Second
@@ -154,7 +153,7 @@ func New(opt Options) *Recorder {
 		done:   make(chan struct{}),
 	}
 	if opt.ProfilePeriod > 0 {
-		r.prof = newProfiler(opt.ProfilePeriod, opt.ProfileDuration, opt.ProfileKeep)
+		r.prof = newProfiler(opt.ProfilePeriod, profileDuration, profileKeep)
 	}
 	return r
 }

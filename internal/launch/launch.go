@@ -11,10 +11,10 @@
 // Exactly three things cross the fork. The argv is the parent's own, so
 // every rank parses the same flags (Config) and needs nothing relayed. The
 // handoff environment carries only what the parent created: LCI_RANK,
-// LCI_SIZE, LCI_ADDRS (every rank's UDP address), LCI_FD, LCI_METRICS_FD
-// and LCI_METRICS_ADDRS when metrics are bound, LCI_TRACE=1 when the
-// command turns tracing on, and LCI_INJECT_STALL on the rank -inject-stall
-// targets (internal/core reads it). The files sit at fixed descriptors:
+// LCI_SIZE, LCI_ADDRS (every rank's UDP address), LCI_FD, and
+// LCI_METRICS_FD and LCI_METRICS_ADDRS when metrics are bound. No other
+// package reads the environment: a rank passes every setting on by value.
+// The files sit at fixed descriptors:
 //
 //	fd 3  the rank's UDP fabric socket
 //	fd 4  the rank's telemetry TCP listener (closed when metrics are unbound)
@@ -31,9 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	lci "lcigraph/internal/core"
 	"lcigraph/internal/netfabric"
-	"lcigraph/internal/tracing"
 )
 
 // The handoff environment (see the package comment).
@@ -56,13 +54,10 @@ const (
 // InChild reports whether this process is a rank a Job started.
 func InChild() bool { return os.Getenv(envRank) != "" }
 
-// Job is one parent-side SPMD launch: N ranks over pre-bound loopback UDP,
-// optional per-rank telemetry listeners, and tracing.
+// Job is one parent-side SPMD launch: N ranks over pre-bound loopback UDP
+// and optional per-rank telemetry listeners.
 type Job struct {
 	cfg *Config
-
-	// Trace turns message-lifecycle tracing on in every child (LCI_TRACE=1).
-	Trace bool
 
 	// MetricsAddrs holds every rank's telemetry endpoint after BindMetrics.
 	MetricsAddrs []string
@@ -143,10 +138,10 @@ func (j *Job) Start(args []string, extra map[int][]*os.File) error {
 	if err != nil {
 		return err
 	}
-	// Parse validated the spec; an unparsed Config injects nothing.
-	stallRank, stallSpec, _ := j.cfg.stall()
-	if stallRank >= 0 {
-		fmt.Fprintf(os.Stderr, "%s: injecting progress stall on rank %d (%s)\n", j.cfg.Name, stallRank, stallSpec)
+	// Parse validated the spec; the target rank arms it from its own argv.
+	if rank, spec, _ := j.cfg.stall(); spec != nil {
+		fmt.Fprintf(os.Stderr, "%s: injecting progress stall on rank %d (shard %d, after %v, for %v)\n",
+			j.cfg.Name, rank, spec.Shard, spec.After, spec.Dur)
 	}
 	j.cmds = make([]*exec.Cmd, j.cfg.N)
 	env := append(os.Environ(),
@@ -154,10 +149,6 @@ func (j *Job) Start(args []string, extra map[int][]*os.File) error {
 		envAddrs+"="+strings.Join(j.udpAddrs, ","),
 		envFD+"="+strconv.Itoa(fdUDP),
 	)
-	if j.Trace {
-		// The last entry wins over any inherited LCI_TRACE value.
-		env = append(env, tracing.EnvEnable+"=1")
-	}
 	if j.mlns != nil {
 		env = append(env,
 			envMetricsFD+"="+strconv.Itoa(fdMetrics),
@@ -200,9 +191,6 @@ func (j *Job) Start(args []string, extra map[int][]*os.File) error {
 		cmd.Stderr = os.Stderr
 		cmd.ExtraFiles = files
 		cmd.Env = append(env[:len(env):len(env)], envRank+"="+strconv.Itoa(i))
-		if i == stallRank {
-			cmd.Env = append(cmd.Env, lci.EnvInjectStall+"="+stallSpec)
-		}
 		if err := cmd.Start(); err != nil {
 			return fail(fmt.Errorf("start rank %d: %w", i, err))
 		}

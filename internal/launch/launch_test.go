@@ -37,14 +37,19 @@ type childReport struct {
 	Loss           float64
 	FaultSeed      int64
 	EndpointShards int
+	ReaderShards   int
+	NoBatchIO      bool
+	NoGSO          bool
+	Trace          bool
 	OpsLog         string
-	Stall          string
+	Stall          *lci.StallSpec // the injection this rank arms
 }
 
 func reportChild() int {
 	cfg := DefaultConfig("launch-test")
 	fs := flag.NewFlagSet("child", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
+	fs.BoolVar(&cfg.Trace, "trace", false, "the command's own tracing flag")
 	dir := fs.String("report-dir", "", "where each rank writes its report")
 	err := cfg.Parse(fs, os.Args[1:])
 	var h *handoff
@@ -55,14 +60,16 @@ func reportChild() int {
 		fmt.Fprintln(os.Stderr, "launch test child:", err)
 		return 2
 	}
-	fc := cfg.fabricConfig(h)
+	fc := cfg.fabricConfig(h, nil)
 	rep := childReport{
 		Rank: h.rank, Size: len(h.addrs), Addrs: h.addrs,
 		Conn:    h.conn.LocalAddr().String(),
 		Metrics: h.metrics != nil, MetricsAddrs: h.metricsAddrs,
 		Loss: fc.Fault.Loss, FaultSeed: fc.Fault.Seed, EndpointShards: fc.EndpointShards,
+		ReaderShards: fc.ReaderShards, NoBatchIO: fc.DisableBatchIO, NoGSO: fc.DisableGSO,
+		Trace:  cfg.Trace,
 		OpsLog: cfg.opsLog(h.rank),
-		Stall:  os.Getenv(lci.EnvInjectStall),
+		Stall:  cfg.stallFor(h.rank),
 	}
 	if h.rank == 0 {
 		ln, err := ExtraListener(0)
@@ -84,30 +91,30 @@ func reportChild() int {
 // TestJobHandoff starts 2-rank jobs of this test binary and checks that
 // each rank receives exactly its share: identity and addresses, the metrics
 // listener only when bound, rank 0's extra listener at its fixed fd with and
-// without metrics, the fault flags in its fabric config, -shards over
-// LCI_ENDPOINT_SHARDS, the ops log on rank 0 only and the stall injection on
-// the targeted rank only.
+// without metrics, the fault, shard and portable-tier flags in its fabric
+// config, the command's tracing flag, the ops log on rank 0 only and the
+// stall injection on the targeted rank only — all from its own argv.
 func TestJobHandoff(t *testing.T) {
-	t.Setenv(lci.EnvInjectStall, "")
-	t.Setenv(lci.EnvShards, "3")
 	for _, tc := range []struct {
 		name    string
 		metrics bool
 		args    []string
-		want    childReport // the flag-derived fields of rank 0's report
-		stall   string      // LCI_INJECT_STALL on rank 1
+		want    childReport    // the flag-derived fields of rank 0's report
+		stall   *lci.StallSpec // the injection rank 1 arms
 	}{
 		{
 			name:    "metrics",
 			metrics: true,
 			args: []string{"-loss", "0.05", "-fault-seed", "7", "-shards", "2",
+				"-no-batch-io", "-no-gso", "-reader-shards", "3", "-trace",
 				"-ops-log", "ops.jsonl", "-inject-stall", "1:0:1s:2s"},
-			want:  childReport{Loss: 0.05, FaultSeed: 7, EndpointShards: 2, OpsLog: "ops.jsonl"},
-			stall: "0:1s:2s",
+			want: childReport{Loss: 0.05, FaultSeed: 7, EndpointShards: 2,
+				ReaderShards: 3, NoBatchIO: true, NoGSO: true, Trace: true, OpsLog: "ops.jsonl"},
+			stall: &lci.StallSpec{Shard: 0, After: time.Second, Dur: 2 * time.Second},
 		},
 		{
 			name: "plain",
-			want: childReport{EndpointShards: 3},
+			want: childReport{EndpointShards: 1},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,6 +124,7 @@ func TestJobHandoff(t *testing.T) {
 			args := append([]string{"-report-dir", dir}, tc.args...)
 			fs := flag.NewFlagSet("parent", flag.ContinueOnError)
 			cfg.RegisterFlags(fs)
+			fs.Bool("trace", false, "")
 			fs.String("report-dir", "", "")
 			if err := cfg.Parse(fs, args); err != nil {
 				t.Fatal(err)
@@ -191,6 +199,14 @@ func TestConfigParse(t *testing.T) {
 		{[]string{"-reorder", "-0.1"}, "-reorder"},
 		{[]string{"-loss", "NaN"}, "-loss"},
 		{[]string{"-profile-period", "abc"}, "profile-period"},
+		{[]string{"-shards", "16", "-reader-shards", "1", "-no-batch-io", "-no-gso"}, ""},
+		{[]string{"-reader-shards", "16"}, ""},
+		{[]string{"-shards", "0"}, "-shards"},
+		{[]string{"-shards", "17"}, "-shards"},
+		{[]string{"-shards", "-1"}, "-shards"},
+		{[]string{"-reader-shards", "0"}, "-reader-shards"},
+		{[]string{"-reader-shards", "17"}, "-reader-shards"},
+		{[]string{"-reader-shards", "abc"}, "-reader-shards"},
 	} {
 		cfg := DefaultConfig("launch-test")
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -208,7 +224,8 @@ func TestConfigParse(t *testing.T) {
 	cfg.Scale = 12
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
-	if err := cfg.Parse(fs, nil); err != nil || cfg.Scale != 12 || cfg.N != 4 || cfg.ProfilePeriod != time.Minute {
+	if err := cfg.Parse(fs, nil); err != nil || cfg.Scale != 12 || cfg.N != 4 || cfg.Shards != 1 ||
+		cfg.ReaderShards != 0 || cfg.ProfilePeriod != time.Minute {
 		t.Fatalf("defaults lost: %v, %+v", err, cfg)
 	}
 }

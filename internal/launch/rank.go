@@ -84,16 +84,18 @@ func ExtraListener(i int) (net.Listener, error) {
 }
 
 // fabricConfig builds this rank's UDP provider config: the handoff's
-// identity and socket, the fault flags, the resolved shard count and the
-// user-facing portable-tier knobs.
-func (c *Config) fabricConfig(h *handoff) netfabric.Config {
-	fc := netfabric.Config{
+// identity and socket, the fault flags, the shard count, the portable-tier
+// flags and the tracer.
+func (c *Config) fabricConfig(h *handoff, tr *tracing.Tracer) netfabric.Config {
+	return netfabric.Config{
 		Rank: h.rank, Addrs: h.addrs, Conn: h.conn,
 		Fault:          netfabric.Fault{Loss: c.Loss, Dup: c.Dup, Reorder: c.Reorder, Seed: c.FaultSeed},
-		EndpointShards: c.shards(),
+		EndpointShards: c.Shards,
+		DisableBatchIO: c.NoBatchIO,
+		DisableGSO:     c.NoGSO,
+		ReaderShards:   c.ReaderShards,
+		Tracer:         tr,
 	}
-	fc.ApplyEnv()
-	return fc
 }
 
 // opsLog is the health ops-event log path for rank: -ops-log on rank 0,
@@ -111,7 +113,7 @@ type Rank struct {
 	Rank, Size int
 	Prov       *netfabric.Provider
 	Reg        *telemetry.Registry
-	Tracer     *tracing.Tracer // nil unless LCI_TRACE
+	Tracer     *tracing.Tracer // nil unless Config.Trace
 	Mon        *health.Monitor
 	Rec        *incident.Recorder // nil without -incident-dir
 	Layer      *comm.LCILayer
@@ -129,22 +131,25 @@ func (c *Config) Join() (*Rank, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov, err := netfabric.New(c.fabricConfig(h))
+	var tr *tracing.Tracer
+	if c.Trace {
+		tr = tracing.New(h.rank, 0)
+	}
+	prov, err := netfabric.New(c.fabricConfig(h, tr))
 	if err != nil {
 		if h.metrics != nil {
 			h.metrics.Close()
 		}
 		return nil, err
 	}
-	r := &Rank{Rank: prov.Rank(), Size: prov.Size(), Prov: prov, threads: c.Threads}
+	r := &Rank{Rank: prov.Rank(), Size: prov.Size(), Prov: prov, Tracer: tr, threads: c.Threads}
 	if r.Rank == 0 {
 		// One line recording what the kernel capability probes negotiated,
 		// so CI logs show which fast-path tier the smoke actually exercised.
 		fmt.Fprintf(os.Stderr, "%s: netfabric %s\n", c.Name, prov.Capabilities())
 	}
-	r.Reg = telemetry.New(r.Rank) // honors LCI_NO_TELEMETRY
+	r.Reg = telemetry.NewEnabled(r.Rank)
 	prov.RegisterMetrics(r.Reg)
-	r.Tracer = tracing.Default()
 	r.Mon = health.New(health.Options{
 		Rank: r.Rank, Ranks: r.Size, Reg: r.Reg, Tracer: r.Tracer,
 		OpsLogPath: c.opsLog(r.Rank),
@@ -172,8 +177,10 @@ func (c *Config) Join() (*Rank, error) {
 		r.srv = r.serveMetrics(h.metrics, h.metricsAddrs)
 	}
 	opt := bench.LCIOptions(r.Size, c.Threads)
-	opt.Shards = c.shards()
+	opt.Shards = c.Shards
 	opt.Telemetry = r.Reg
+	opt.Tracer = r.Tracer
+	opt.InjectStall = c.stallFor(r.Rank)
 	r.Layer = comm.NewLCILayer(prov, opt)
 	return r, nil
 }

@@ -1,6 +1,9 @@
 package mpi
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Impl is an MPI implementation profile: the tunables that differ between
 // real MPI builds and drive the Table IV comparison.
@@ -83,6 +86,16 @@ func TestImpl() Impl {
 
 // Impls returns the named implementation profiles in Table IV order.
 func Impls() []Impl { return []Impl{IntelMPI(), MVAPICH2(), OpenMPI()} }
+
+// ImplByName returns the named implementation profile from Impls.
+func ImplByName(name string) (Impl, error) {
+	for _, im := range Impls() {
+		if im.Name == name {
+			return im, nil
+		}
+	}
+	return Impl{}, fmt.Errorf("unknown MPI implementation %q (want intelmpi, mvapich2 or openmpi)", name)
+}
 
 // charge busy-waits for d, modelling fixed software overhead on the calling
 // thread. Durations under ~50ns are skipped: the surrounding call sequence

@@ -2,6 +2,7 @@ package netfabric
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,7 +111,7 @@ func exchangeLossy(t *testing.T, cfg Config, n int) (*Provider, *Provider) {
 	return a, b
 }
 
-// TestGSOFallbackLossy: with segmentation offload disabled (the LCI_NO_GSO
+// TestGSOFallbackLossy: with segmentation offload disabled (the -no-gso
 // path, and the shape of a kernel that rejects UDP_SEGMENT) the provider
 // must fall back to plain batch I/O with identical exactly-once delivery
 // under loss.
@@ -201,21 +202,46 @@ func TestGSOLargeMessages(t *testing.T) {
 	t.Logf("a: %s stats=%+v", a.Capabilities(), a.Stats())
 }
 
-// TestEnvKnobs: the ablation environment variables must reach the config.
-func TestEnvKnobs(t *testing.T) {
-	t.Setenv(EnvNoGSO, "1")
-	t.Setenv(EnvReaderShards, "1")
-	cfg := Config{Rank: 0, Addrs: []string{"127.0.0.1:0"}}
-	cfg.ApplyEnv()
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.GSO() {
-		t.Fatal("LCI_NO_GSO=1 left GSO on")
-	}
-	if got := p.ReaderShards(); got != 1 {
-		t.Fatalf("LCI_READER_SHARDS=1 but %d shards", got)
+// TestPortableTierFields: the launcher's -no-batch-io, -no-gso and
+// -reader-shards reach the provider as Config fields, by value.
+func TestPortableTierFields(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		batchIO, gso bool // false: must be off; true: may be on
+		readerShards int
+		caps         []string // substrings of Capabilities
+	}{
+		{"no-gso one reader", Config{DisableGSO: true, ReaderShards: 1}, true, false, 1,
+			[]string{"gso=false", "shards=1 "}},
+		{"no-batch-io", Config{DisableBatchIO: true, ReaderShards: 1}, false, false, 1,
+			[]string{"batchio=false", "gso=false"}},
+		{"readers raised to endpoint shards", Config{ReaderShards: 1, EndpointShards: 2}, true, true, 2,
+			[]string{"epshards=2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Addrs = []string{"127.0.0.1:0"}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if !tc.batchIO && p.BatchIO() {
+				t.Error("batch I/O left on")
+			}
+			if !tc.gso && p.GSO() {
+				t.Error("GSO left on")
+			}
+			if got := p.ReaderShards(); got != tc.readerShards {
+				t.Errorf("%d reader shards, want %d", got, tc.readerShards)
+			}
+			caps := p.Capabilities()
+			for _, sub := range tc.caps {
+				if !strings.Contains(caps, sub) {
+					t.Errorf("capabilities %q lack %q", caps, sub)
+				}
+			}
+		})
 	}
 }

@@ -34,10 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +44,21 @@ import (
 	"lcigraph/internal/tracing"
 )
 
-// Config describes one rank's endpoint. Window, Credits, EagerLimit and MTU
-// must agree across all ranks of a job (the launcher and loopback group
+// Fixed transport sizes, the same on every rank of every job.
+const (
+	// wireMTU is the max datagram size, wire header included: the length of
+	// every encode buffer.
+	wireMTU = 1400
+	// fragChunk is the payload bytes per DATA datagram.
+	fragChunk = wireMTU - dataHdrLen
+	// sockBufBytes sizes the kernel socket buffers at New.
+	sockBufBytes = 1 << 20
+	// maxRegions is the local region table size.
+	maxRegions = 128
+)
+
+// Config describes one rank's endpoint. Window, Credits and EagerLimit must
+// agree across all ranks of a job (the launcher and loopback group
 // guarantee this).
 type Config struct {
 	Rank  int
@@ -60,7 +70,6 @@ type Config struct {
 	Conn net.PacketConn
 
 	EagerLimit int           // max payload of one Send (default 8 KiB)
-	MTU        int           // max datagram size incl. wire header (default 1400)
 	Window     int           // max unacked packets per peer flow (default 256)
 	Credits    int           // max delivered-but-unreleased messages per peer (default 128)
 	RTO        time.Duration // initial retransmit timeout, used until the first RTT sample (default 5ms)
@@ -70,7 +79,6 @@ type Config struct {
 	// timer) alive waiting for every in-flight packet to be acked, so a
 	// lossy wire cannot swallow the job's final messages (default 1s).
 	DrainTimeout time.Duration
-	MaxRegions   int   // local region table size (default 128)
 	Fault        Fault // outgoing-datagram fault injection
 
 	// TxBatch is the pending-transmit threshold at which a Send flushes its
@@ -81,32 +89,29 @@ type Config struct {
 	// packets on a one-way flow, bounding sender window occupancy between
 	// delayed-ack ticks (default max(8, Credits/4)).
 	AckEvery int
-	// SockBuf sizes the kernel socket buffers at New (default 1 MiB).
-	SockBuf int
 	// ReaderShards is the number of receive sockets sharing this endpoint's
 	// address via SO_REUSEPORT, each drained by its own reader goroutine (the
 	// kernel hashes peers across them). Default min(4, NumCPU), clamped to
 	// [1,16]; silently degrades to a single reader when the platform or the
-	// primary socket cannot join a reuseport group. Also settable via
-	// LCI_READER_SHARDS for launcher-spawned workers.
+	// primary socket cannot join a reuseport group.
 	ReaderShards int
 	// EndpointShards is the number of progress shards the upper layer will
 	// run over this provider (fabric.Sharder views). It does not change the
 	// provider's behavior by itself; it raises ReaderShards to match, so
 	// kernel-side reuseport steering and upper-layer progress sharding have
 	// the same parallelism, and it is reported by Capabilities. Default 1.
-	// The SPMD launcher sets it from -shards or LCI_ENDPOINT_SHARDS.
+	// The SPMD launcher sets it from -shards.
 	EndpointShards int
 
-	// Portable tiers for kernels without the fast paths (also settable via
-	// LCI_NO_BATCH_IO and LCI_NO_GSO for launcher-spawned workers).
+	// Portable tiers for kernels without the fast paths (the launcher's
+	// -no-batch-io and -no-gso).
 	DisableBatchIO bool // one syscall per datagram, flush every Send (pre-batching path)
 	DisableGSO     bool // no UDP_SEGMENT trains / UDP_GRO coalescing (plain batch I/O)
 
 	// Tracer receives transport lifecycle events (retransmits, ack window
 	// advances, credit stalls, stall warnings) and the flight-recorder dump
-	// when the stall detector fires or Close's drain times out. Nil selects
-	// the process-wide default tracer (enabled only under LCI_TRACE).
+	// when the stall detector fires or Close's drain times out. Nil: tracing
+	// off.
 	Tracer *tracing.Tracer
 
 	// StallRTOs is the stall detector's no-ack-progress threshold: a
@@ -124,12 +129,6 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.EagerLimit <= 0 {
 		c.EagerLimit = 8 << 10
-	}
-	if c.MTU <= 0 {
-		c.MTU = 1400
-	}
-	if c.MTU <= dataHdrLen {
-		return fmt.Errorf("netfabric: MTU %d leaves no payload room (header %d)", c.MTU, dataHdrLen)
 	}
 	if c.Window <= 0 {
 		c.Window = 256
@@ -161,9 +160,6 @@ func (c *Config) fill() error {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = time.Second
 	}
-	if c.MaxRegions <= 0 {
-		c.MaxRegions = 128
-	}
 	if c.TxBatch <= 0 {
 		c.TxBatch = 32
 	}
@@ -175,9 +171,6 @@ func (c *Config) fill() error {
 		if c.AckEvery < 8 {
 			c.AckEvery = 8
 		}
-	}
-	if c.SockBuf <= 0 {
-		c.SockBuf = 1 << 20
 	}
 	if c.ReaderShards <= 0 {
 		c.ReaderShards = min(4, runtime.NumCPU())
@@ -219,8 +212,6 @@ const readBatchLen = 16
 type Provider struct {
 	rank, size int
 	eagerLimit int
-	mtu        int // max datagram size: the length of every encode buffer
-	chunk      int // payload bytes per DATA datagram
 	window     uint32
 	credits    int
 	seedRTO    time.Duration
@@ -284,7 +275,6 @@ type Provider struct {
 
 	regMu   sync.Mutex
 	regions []bool
-	maxRegs int
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -410,8 +400,6 @@ func New(cfg Config) (*Provider, error) {
 		rank:          cfg.Rank,
 		size:          len(cfg.Addrs),
 		eagerLimit:    cfg.EagerLimit,
-		mtu:           cfg.MTU,
-		chunk:         cfg.MTU - dataHdrLen,
 		window:        uint32(cfg.Window),
 		credits:       cfg.Credits,
 		seedRTO:       cfg.RTO,
@@ -421,14 +409,10 @@ func New(cfg Config) (*Provider, error) {
 		txBatch:       cfg.TxBatch,
 		ackEvery:      cfg.AckEvery,
 		conn:          cfg.Conn,
-		maxRegs:       cfg.MaxRegions,
 		tr:            cfg.Tracer,
 		stallRTOs:     cfg.StallRTOs,
 		creditStallTO: cfg.CreditStallTimeout,
 		bell:          make(chan struct{}, 1),
-	}
-	if p.tr == nil {
-		p.tr = tracing.Default()
 	}
 	// The tick paces delayed acks and the retransmit scan. Half the RTO
 	// floor keeps timer resolution ahead of the tightest timeout; the
@@ -440,7 +424,7 @@ func New(cfg Config) (*Provider, error) {
 	if p.tick < 100*time.Microsecond {
 		p.tick = 100 * time.Microsecond
 	}
-	p.readBufLen = cfg.MTU + 64
+	p.readBufLen = wireMTU + 64
 	if p.readBufLen < 2048 {
 		p.readBufLen = 2048
 	}
@@ -467,8 +451,8 @@ func New(cfg Config) (*Provider, error) {
 		SetReadBuffer(int) error
 		SetWriteBuffer(int) error
 	}); ok {
-		sb.SetReadBuffer(cfg.SockBuf)
-		sb.SetWriteBuffer(cfg.SockBuf)
+		sb.SetReadBuffer(sockBufBytes)
+		sb.SetWriteBuffer(sockBufBytes)
 	}
 	p.peers = make([]net.Addr, p.size)
 	p.flows = make([]*flow, p.size)
@@ -500,7 +484,7 @@ func New(cfg Config) (*Provider, error) {
 			// one full train so a fragment run reaches the kernel as a single
 			// entry instead of several partial trains. Latency is unaffected:
 			// any live poller still flushes whatever is pending (see Poll).
-			if t := maxGSOBytes / cfg.MTU; t > p.txBatch {
+			if t := maxGSOBytes / wireMTU; t > p.txBatch {
 				p.txBatch = t
 			}
 		}
@@ -516,7 +500,7 @@ func New(cfg Config) (*Provider, error) {
 			break // reuseport group unavailable: stay with the shards we have
 		}
 		if sb, ok := c.(interface{ SetReadBuffer(int) error }); ok {
-			sb.SetReadBuffer(cfg.SockBuf)
+			sb.SetReadBuffer(sockBufBytes)
 		}
 		s := &readerShard{idx: len(p.shards), conn: c}
 		if !cfg.DisableBatchIO {
@@ -755,8 +739,8 @@ func (p *Provider) Send(dst int, header, meta uint64, data []byte) error {
 	}
 	fl := p.flows[dst]
 	nfrags := 1
-	if len(data) > p.chunk {
-		nfrags = (len(data) + p.chunk - 1) / p.chunk
+	if len(data) > fragChunk {
+		nfrags = (len(data) + fragChunk - 1) / fragChunk
 	}
 
 	fl.mu.Lock()
@@ -780,11 +764,11 @@ func (p *Provider) Send(dst int, header, meta uint64, data []byte) error {
 	}
 	off := 0
 	for i := 0; i < nfrags; i++ {
-		end := off + p.chunk
+		end := off + fragChunk
 		if end > len(data) {
 			end = len(data)
 		}
-		tx := fl.unacked.push(fl.nextSeq, p.mtu)
+		tx := fl.unacked.push(fl.nextSeq, wireMTU)
 		tx.data = tx.data[:encodeData(tx.data, p.rank, fl.nextSeq, uint32(off), uint32(len(data)), header, meta, data[off:end])]
 		fl.nextSeq++
 		off = end
@@ -990,7 +974,7 @@ func (p *Provider) RegisterRegion(buf []byte) (uint32, error) {
 			return uint32(i), nil
 		}
 	}
-	if len(p.regions) >= p.maxRegs {
+	if len(p.regions) >= maxRegions {
 		return 0, errors.New("netfabric: region table full")
 	}
 	p.regions = append(p.regions, true)
@@ -1662,33 +1646,4 @@ func (p *Provider) Stats() fabric.Stats {
 		InlineRx:       p.inlineRx.Load(),
 		RTTNanos:       rtt.Nanoseconds(),
 	}
-}
-
-// ---- environment knobs ----
-
-// Portable-tier and reader-shard settings for processes that build their
-// Config through ApplyEnv (the SPMD launcher's ranks), so CI can run the
-// launcher smoke on each tier.
-const (
-	EnvNoBatchIO    = "LCI_NO_BATCH_IO"
-	EnvNoGSO        = "LCI_NO_GSO"
-	EnvReaderShards = "LCI_READER_SHARDS"
-)
-
-// ApplyEnv sets DisableBatchIO, DisableGSO and ReaderShards from the
-// environment knobs above; unset knobs leave the fields as they are.
-func (c *Config) ApplyEnv() {
-	c.DisableBatchIO = c.DisableBatchIO || envBool(EnvNoBatchIO)
-	c.DisableGSO = c.DisableGSO || envBool(EnvNoGSO)
-	if n, err := strconv.Atoi(os.Getenv(EnvReaderShards)); err == nil {
-		c.ReaderShards = n
-	}
-}
-
-func envBool(name string) bool {
-	switch strings.ToLower(os.Getenv(name)) {
-	case "", "0", "false", "no", "off":
-		return false
-	}
-	return true
 }

@@ -51,14 +51,14 @@ type machinePool struct {
 
 // start validates a query against the graph size and starts its machine:
 // the one path the coordinator and the Oracle share.
-func (mp *machinePool) start(q Query, globalN int, cfg *Config) (machine, error) {
+func (mp *machinePool) start(q Query, globalN int) (machine, error) {
 	if int(q.A) >= globalN {
 		return nil, fmt.Errorf("vertex %d out of range (graph has %d)", q.A, globalN)
 	}
 	switch q.Op {
 	case OpKHop:
-		if int(q.B) > cfg.MaxHops {
-			return nil, fmt.Errorf("k=%d exceeds the %d-hop limit", q.B, cfg.MaxHops)
+		if int(q.B) > maxHops {
+			return nil, fmt.Errorf("k=%d exceeds the %d-hop limit", q.B, maxHops)
 		}
 		m := take(&mp.bfs)
 		m.reset(q.A, globalN, int(q.B), Unreachable, false)
@@ -68,14 +68,14 @@ func (mp *machinePool) start(q Query, globalN int, cfg *Config) (machine, error)
 			return nil, fmt.Errorf("vertex %d out of range (graph has %d)", q.B, globalN)
 		}
 		m := take(&mp.bfs)
-		m.reset(q.A, globalN, cfg.MaxRounds, q.B, true)
+		m.reset(q.A, globalN, maxRounds, q.B, true)
 		return m, nil
 	case OpPPR:
 		if q.B == 0 {
 			return nil, fmt.Errorf("ppr topN must be positive")
 		}
 		m := take(&mp.ppr)
-		m.reset(q.A, globalN, int(q.B), cfg)
+		m.reset(q.A, globalN, int(q.B))
 		return m, nil
 	default:
 		return nil, fmt.Errorf("unknown op %d", q.Op)
@@ -205,14 +205,11 @@ type pprMachine struct {
 	order   []uint32  // scored vertices, in first-push order
 	batch   []uint32  // this round's pushes: touched with res ≥ eps, sorted
 
-	topN      int
-	round     int
-	maxRounds int
-	alpha     float64
-	eps       float64
+	topN  int
+	round int
 }
 
-func (m *pprMachine) reset(src uint32, globalN, topN int, cfg *Config) {
+func (m *pprMachine) reset(src uint32, globalN, topN int) {
 	m.res = zeroed(m.res, globalN)
 	m.score = zeroed(m.score, globalN)
 	m.stamp = zeroed(m.stamp, globalN)
@@ -222,9 +219,6 @@ func (m *pprMachine) reset(src uint32, globalN, topN int, cfg *Config) {
 	m.batch = m.batch[:0]
 	m.topN = topN
 	m.round = 0
-	m.maxRounds = cfg.MaxRounds
-	m.alpha = cfg.PPRAlpha
-	m.eps = cfg.PPREps
 	m.res[src] = 1
 }
 
@@ -232,12 +226,12 @@ func (m *pprMachine) reset(src uint32, globalN, topN int, cfg *Config) {
 // not touched last round either was pushed (residual 0) or was below eps
 // and unchanged, so no scan of all residuals is needed.
 func (m *pprMachine) need() []uint32 {
-	if m.round >= m.maxRounds {
+	if m.round >= maxRounds {
 		return nil
 	}
 	m.batch = m.batch[:0]
 	for _, v := range m.touched {
-		if m.res[v] >= m.eps {
+		if m.res[v] >= pprEps {
 			m.batch = append(m.batch, v)
 		}
 	}
@@ -256,12 +250,12 @@ func (m *pprMachine) advance(adj [][]uint32) {
 			m.scored[v] = true
 			m.order = append(m.order, v)
 		}
-		m.score[v] += m.alpha * rv
+		m.score[v] += pprAlpha * rv
 		l := adj[i]
 		if len(l) == 0 {
 			continue // dangling vertex: its residual mass retires
 		}
-		share := (1 - m.alpha) * rv / float64(len(l))
+		share := (1 - pprAlpha) * rv / float64(len(l))
 		for _, u := range l {
 			m.res[u] += share
 			if m.stamp[u] != stamp {
@@ -326,22 +320,21 @@ func DecodeU32(payload []byte) (uint32, error) {
 // single-host reference the distributed serving path must match exactly
 // (same machines, adjacency read straight from the CSR).
 type Oracle struct {
-	G   *graph.Graph
-	Cfg Config
+	G *graph.Graph
 }
 
-// NewOracle builds an oracle with defaulted config (the config must match
-// the server's for PPR results to agree).
-func NewOracle(g *graph.Graph, cfg Config) *Oracle {
-	cfg.fill()
-	return &Oracle{G: g, Cfg: cfg}
+// NewOracle builds an oracle over g. No Config field changes a query's
+// answer (the query semantics are package constants), so the Config is
+// accepted only to mirror New.
+func NewOracle(g *graph.Graph, _ Config) *Oracle {
+	return &Oracle{G: g}
 }
 
 // Answer runs one query to completion locally and returns the result
 // payload (the same bytes a StatusOK response would carry).
 func (o *Oracle) Answer(q Query) ([]byte, error) {
 	var mp machinePool
-	m, err := mp.start(q, o.G.N, &o.Cfg)
+	m, err := mp.start(q, o.G.N)
 	if err != nil {
 		return nil, err
 	}

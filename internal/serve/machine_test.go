@@ -63,9 +63,7 @@ func TestOracleGoldenAnswers(t *testing.T) {
 // seeded RNG and the answers must equal the Oracle's.
 func TestAnswersIgnoreAdjacencyOrder(t *testing.T) {
 	g := goldenGraph()
-	cfg := Config{}
-	cfg.fill()
-	o := NewOracle(g, cfg)
+	o := NewOracle(g, Config{})
 	for _, tc := range goldenAnswers {
 		want, err := o.Answer(tc.q)
 		if err != nil {
@@ -73,7 +71,7 @@ func TestAnswersIgnoreAdjacencyOrder(t *testing.T) {
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			m, err := new(machinePool).start(tc.q, g.N, &cfg)
+			m, err := new(machinePool).start(tc.q, g.N)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,8 +97,6 @@ func TestAnswersIgnoreAdjacencyOrder(t *testing.T) {
 // it before.
 func TestMachineReuseStartsClean(t *testing.T) {
 	g := goldenGraph()
-	cfg := Config{}
-	cfg.fill()
 	state := func(m machine) string {
 		switch m := m.(type) {
 		case *bfsMachine:
@@ -114,11 +110,11 @@ func TestMachineReuseStartsClean(t *testing.T) {
 	}
 	mp := machinePool{max: 2}
 	for _, tc := range goldenAnswers {
-		m, err := mp.start(tc.q, g.N, &cfg)
+		m, err := mp.start(tc.q, g.N)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, _ := new(machinePool).start(tc.q, g.N, &cfg)
+		fresh, _ := new(machinePool).start(tc.q, g.N)
 		if state(m) != state(fresh) {
 			t.Fatalf("%s(%d,%d): a reused machine starts from different state",
 				OpName(tc.q.Op), tc.q.A, tc.q.B)
@@ -143,7 +139,7 @@ func replyServer(t *testing.T, q Query) (*Server, *pending) {
 	t.Helper()
 	j := newStubJob(goldenGraph(), Config{CacheSize: -1, Reg: telemetry.NewEnabled(0)})
 	s := j.s[0]
-	m, err := s.machines.start(q, s.pt.GlobalN, &s.cfg)
+	m, err := s.machines.start(q, s.pt.GlobalN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,19 +44,21 @@ const (
 	tagCtrl  = cluster.ServeTagLo + 2 // coordinator → owner: drain control
 )
 
-// Config tunes one serving job. The zero value selects the defaults; every
-// rank must use the same query-semantics fields (MaxHops, MaxRounds,
-// PPRAlpha, PPREps), and an Oracle checked against the job must too.
-type Config struct {
-	MaxInFlight  int    // resident-query bound at the coordinator (default 64)
-	MaxPerClient int    // resident-query bound per client connection (default 8)
-	CacheSize    int    // LRU result-cache entries (default 1024; <0 disables)
-	RetryAfterMs uint32 // shed responses carry this retry hint (default 50)
+// Query semantics, the same on every rank and in the Oracle, and the shed
+// response's retry hint.
+const (
+	maxHops              = 8    // k-hop radius bound
+	maxRounds            = 64   // BFS/PPR round bound
+	pprAlpha     float64 = 0.15 // PPR teleport probability
+	pprEps       float64 = 1e-4 // PPR residual push threshold
+	retryAfterMs         = 50   // shed responses carry this retry hint
+)
 
-	MaxHops   int     // k-hop radius bound (default 8)
-	MaxRounds int     // BFS/PPR round bound (default 64)
-	PPRAlpha  float64 // PPR teleport probability (default 0.15)
-	PPREps    float64 // PPR residual push threshold (default 1e-4)
+// Config tunes one serving job. The zero value selects the defaults.
+type Config struct {
+	MaxInFlight  int // resident-query bound at the coordinator (default 64)
+	MaxPerClient int // resident-query bound per client connection (default 8)
+	CacheSize    int // LRU result-cache entries (default 1024; <0 disables)
 
 	Reg    *telemetry.Registry // nil: telemetry off
 	Tracer *tracing.Tracer     // nil: tracing off
@@ -80,21 +82,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.RetryAfterMs == 0 {
-		c.RetryAfterMs = 50
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 8
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 64
-	}
-	if c.PPRAlpha <= 0 {
-		c.PPRAlpha = 0.15
-	}
-	if c.PPREps <= 0 {
-		c.PPREps = 1e-4
 	}
 }
 
@@ -372,7 +359,7 @@ func (s *Server) handle(r request) {
 		r.c.resident >= s.cfg.MaxPerClient {
 		s.met.shed[r.q.Op].Inc()
 		s.cfg.Tracer.RecordArg(tracing.EvQueryDone, -1, 0, 0, 2, tid)
-		r.c.send(EncodeResponse(r.reqid, StatusShed, ShedPayload(s.cfg.RetryAfterMs)))
+		r.c.send(EncodeResponse(r.reqid, StatusShed, ShedPayload(retryAfterMs)))
 		return
 	}
 	if v, ok := s.cache.get(cacheKey{r.q.Op, r.q.A, r.q.B}); ok {
@@ -384,7 +371,7 @@ func (s *Server) handle(r request) {
 		return
 	}
 	s.met.cacheMisses.Inc()
-	m, err := s.machines.start(r.q, s.pt.GlobalN, &s.cfg)
+	m, err := s.machines.start(r.q, s.pt.GlobalN)
 	if err != nil {
 		s.met.errs[r.q.Op].Inc()
 		s.cfg.Tracer.RecordArg(tracing.EvQueryDone, -1, 0, 0, 3, tid)

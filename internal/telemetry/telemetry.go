@@ -2,7 +2,7 @@
 // sharded atomic counters, callback-backed gauges, and power-of-two-bucket
 // histograms, meant to be cheap enough to leave enabled on the message hot
 // path (the ~3% budget is unverified until it is re-measured with perfbench
-// pairs; LCI_NO_TELEMETRY is the off switch).
+// pairs; NewDisabled is the off switch).
 //
 // The design follows the paper's needs (DESIGN.md §11): the evaluation's
 // signals — per-protocol packet counts, packet-pool occupancy, progress-loop
@@ -18,7 +18,7 @@
 //   - Histogram.Observe is two atomic adds (bucket + sum) and a bits.Len64.
 //   - Gauges cost nothing until a snapshot is taken: they are closures over
 //     existing state (pool free counts, queue lengths, flow RTT estimates).
-//   - A disabled registry (LCI_NO_TELEMETRY, or NewDisabled) hands out nil
+//   - A disabled registry (NewDisabled) hands out nil
 //     metrics; every method is a no-op on a nil receiver, so the disabled
 //     hot path pays one predictable branch.
 //
@@ -28,20 +28,10 @@ package telemetry
 
 import (
 	"math/bits"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
-
-// EnvDisable turns the whole subsystem off when set (any non-empty value):
-// New returns a disabled registry whose metrics are nil no-ops.
-const EnvDisable = "LCI_NO_TELEMETRY"
-
-// EnvRank names the rank environment variable the default registry reads
-// (set by cmd/lci-launch for worker processes).
-const EnvRank = "LCI_RANK"
 
 // numShards is the counter shard count (power of two). 16 shards × 64 B is
 // 1 KiB per counter — counters are few and long-lived, so the padding is
@@ -200,16 +190,7 @@ type Registry struct {
 	gauges     map[string]*gaugeEntry
 }
 
-// New returns a registry for rank, honoring the LCI_NO_TELEMETRY knob.
-func New(rank int) *Registry {
-	if os.Getenv(EnvDisable) != "" {
-		return NewDisabled(rank)
-	}
-	return NewEnabled(rank)
-}
-
-// NewEnabled returns a live registry regardless of environment (used by the
-// overhead ablation's "on" arm).
+// NewEnabled returns a live registry for rank.
 func NewEnabled(rank int) *Registry {
 	return &Registry{
 		rank:       rank,
@@ -220,8 +201,8 @@ func NewEnabled(rank int) *Registry {
 	}
 }
 
-// NewDisabled returns a registry whose metrics are nil no-ops (the ablation
-// baseline and the LCI_NO_TELEMETRY path).
+// NewDisabled returns a registry whose metrics are nil no-ops (the
+// telemetry-off baseline).
 func NewDisabled(rank int) *Registry {
 	return &Registry{rank: rank, disabled: true}
 }
@@ -231,14 +212,12 @@ var (
 	defaultReg  *Registry
 )
 
-// Default returns the process-wide registry, created on first use with the
-// rank from LCI_RANK (0 outside launcher-spawned processes) and the
-// LCI_NO_TELEMETRY knob applied. Components fall back to it when no
-// registry is wired explicitly.
+// Default returns the process-wide registry, a live rank-0 registry created
+// on first use. Components fall back to it when no registry is wired
+// explicitly; launched ranks wire their own.
 func Default() *Registry {
 	defaultOnce.Do(func() {
-		rank, _ := strconv.Atoi(os.Getenv(EnvRank))
-		defaultReg = New(rank)
+		defaultReg = NewEnabled(0)
 	})
 	return defaultReg
 }

@@ -73,10 +73,9 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestDisabledAndNilAreNoops(t *testing.T) {
-	t.Setenv(EnvDisable, "1")
-	reg := New(3)
+	reg := NewDisabled(3)
 	if reg.Enabled() {
-		t.Fatal("LCI_NO_TELEMETRY should disable the registry")
+		t.Fatal("NewDisabled returned a live registry")
 	}
 	c := reg.Counter("x")
 	c.Add(5) // nil counter: must not panic

@@ -17,7 +17,7 @@ func Handler(t *Tracer, merged func() ([]byte, error)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {
-			http.Error(w, "tracing disabled (set LCI_TRACE=1)", http.StatusNotFound)
+			http.Error(w, "tracing disabled (start the job with -trace or -trace-out)", http.StatusNotFound)
 			return
 		}
 		doc := []byte(nil)
@@ -34,7 +34,7 @@ func Handler(t *Tracer, merged func() ([]byte, error)) http.Handler {
 	})
 	mux.HandleFunc("/debug/trace/flight", func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {
-			http.Error(w, "tracing disabled (set LCI_TRACE=1)", http.StatusNotFound)
+			http.Error(w, "tracing disabled (start the job with -trace or -trace-out)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

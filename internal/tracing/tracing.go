@@ -21,31 +21,19 @@
 //     observe one event torn across its words, which the consumers tolerate
 //     (an implausible type or timestamp at worst — dumps of quiescent rings
 //     are exact).
-//   - A nil *Tracer no-ops every method, mirroring the LCI_NO_TELEMETRY
+//   - A nil *Tracer no-ops every method, mirroring the disabled-telemetry
 //     dark path: instrumentation sites pay one predictable branch when
 //     tracing is off (the same ~3% budget as telemetry, unverified until it
 //     is re-measured with perfbench pairs).
 package tracing
 
 import (
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 )
-
-// EnvEnable turns tracing on when set (opposite polarity to
-// LCI_NO_TELEMETRY: tracing is opt-in because it records per-event, not
-// aggregate, state). A numeric value sets the per-shard ring capacity in
-// events; any other non-empty value selects the default capacity.
-const EnvEnable = "LCI_TRACE"
-
-// EnvRank names the rank environment variable the default tracer reads (set
-// by cmd/lci-launch for worker processes).
-const EnvRank = "LCI_RANK"
 
 // EventType identifies one lifecycle stage of a message (or a runtime state
 // transition). The zero value is reserved as "empty slot".
@@ -253,31 +241,6 @@ func New(rank, perShardCap int) *Tracer {
 		t.shards[i].slots = make([]slot, capPow)
 	}
 	return t
-}
-
-var (
-	defaultOnce sync.Once
-	defaultTr   *Tracer
-)
-
-// Default returns the process-wide tracer: nil (tracing off) unless
-// LCI_TRACE is set, in which case a tracer for the LCI_RANK rank is created
-// on first use. Components fall back to it when no tracer is wired
-// explicitly.
-func Default() *Tracer {
-	defaultOnce.Do(func() {
-		v := os.Getenv(EnvEnable)
-		if v == "" {
-			return
-		}
-		capHint := 0
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			capHint = n
-		}
-		rank, _ := strconv.Atoi(os.Getenv(EnvRank))
-		defaultTr = New(rank, capHint)
-	})
-	return defaultTr
 }
 
 // Rank returns the tracer's rank (0 for nil).
