@@ -1,22 +1,8 @@
-// lci-incident analyzes incident bundles written by the incident recorder
-// (internal/incident, DESIGN.md §17):
-//
-//	lci-incident verify <bundle.tar.gz>        manifest/schema check (CI gate)
-//	lci-incident report <bundle.tar.gz>        human postmortem
-//	lci-incident diff   <a.tar.gz> <b.tar.gz>  what changed between two bundles
-//
-// verify exits 0 on a well-formed bundle and 1 with one problem per line
-// otherwise. report names the trigger (rank:shard for progress stalls),
-// attributes the incident per rank and per shard from the bundled health
-// time series, diffs the live CPU profile against the pre-incident
-// continuous baseline, diffs goroutine counts for leaks, and lists the
-// transport hot spots (retransmits, credit stalls, worst-peer SRTT).
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -25,35 +11,6 @@ import (
 	"lcigraph/internal/incident"
 	"lcigraph/internal/telemetry"
 )
-
-func main() {
-	if len(os.Args) < 3 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "verify":
-		err = verify(os.Args[2])
-	case "report":
-		err = report(os.Args[2])
-	case "diff":
-		if len(os.Args) < 4 {
-			usage()
-		}
-		err = diff(os.Args[2], os.Args[3])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lci-incident verify <bundle> | report <bundle> | diff <a> <b>")
-	os.Exit(2)
-}
 
 // ---- verify ----
 

@@ -1,21 +1,3 @@
-// Command lci-top is a live terminal view of a running cluster's health,
-// in the spirit of top(1): point it at rank 0's telemetry endpoint (the
-// -metrics-addr a launcher printed) and it polls /debug/health.json,
-// rendering the cluster judgment, a per-rank table (status, heartbeat age,
-// superstep progress, barrier skew, per-shard progress-poll rates), the
-// active alerts, and the fastest-moving metric rates.
-//
-// Usage:
-//
-//	lci-top -addr 127.0.0.1:9380             # refresh every second
-//	lci-top -addr 127.0.0.1:9380 -interval 250ms
-//	lci-top -addr 127.0.0.1:9380 -once       # one frame, no screen control (CI)
-//	lci-top -addr 127.0.0.1:9380 -once -json # raw /debug/health.json payload
-//
-// Exit code: with -once, 0 when the cluster judgment is OK and 1 otherwise,
-// so scripts can gate on it like /healthz. -json (implies -once) emits the
-// raw health payload instead of the rendered frame, for jq pipelines and
-// log archival; the exit-code contract is the same.
 package main
 
 import (
@@ -30,18 +12,14 @@ import (
 	"lcigraph/internal/health"
 )
 
-type payload struct {
-	View   health.View               `json:"view"`
-	Series map[string][]health.Point `json:"series"`
-	Links  map[string]string         `json:"links,omitempty"`
-}
-
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9380", "rank 0 telemetry endpoint (host:port)")
-	interval := flag.Duration("interval", time.Second, "refresh period")
-	once := flag.Bool("once", false, "render one frame without screen control and exit (CI-friendly)")
-	asJSON := flag.Bool("json", false, "emit the raw health payload as JSON and exit (implies -once)")
-	flag.Parse()
+// top polls rank 0's /debug/health.json and renders the cluster view.
+func top(args []string) {
+	fs := flag.NewFlagSet("lci-ops top", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:9380", "rank 0 telemetry endpoint (host:port)")
+	interval := fs.Duration("interval", time.Second, "refresh period")
+	once := fs.Bool("once", false, "render one frame without screen control and exit (CI-friendly)")
+	asJSON := fs.Bool("json", false, "emit the raw health payload as JSON and exit (implies -once)")
+	fs.Parse(args)
 
 	url := "http://" + *addr + "/debug/health.json"
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -74,8 +52,8 @@ func main() {
 	}
 }
 
-func fetch(client *http.Client, url string) (payload, error) {
-	var p payload
+func fetch(client *http.Client, url string) (health.DebugPayload, error) {
+	var p health.DebugPayload
 	resp, err := client.Get(url)
 	if err != nil {
 		return p, err
@@ -87,12 +65,13 @@ func fetch(client *http.Client, url string) (payload, error) {
 	return p, json.NewDecoder(resp.Body).Decode(&p)
 }
 
-// render draws one frame.
-func render(p payload) string {
+// render draws one frame. Its title still reads "lci-top", so anything
+// that reads the frames keeps working.
+func render(p health.DebugPayload) string {
 	v := p.View
 	var b strings.Builder
 	fmt.Fprintf(&b, "lci-top — cluster %s  ranks=%d tick=%d alerts_active=%d alerts_fired=%d  %s\n",
-		statusCell(v.Status), v.Ranks, v.Tick, len(v.Alerts), v.FiredTotal,
+		v.Status, v.Ranks, v.Tick, len(v.Alerts), v.FiredTotal,
 		time.Unix(0, v.NowNs).Format("15:04:05"))
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("─", 78))
 
@@ -112,7 +91,7 @@ func render(p payload) string {
 			rates[i] = humanRate(pr)
 		}
 		fmt.Fprintf(&b, "%-5d %-10s %8s %8d %9dms %6s  %s\n",
-			r.Rank, statusCell(r.Status), age, r.Rounds, r.BarrierMs, skew,
+			r.Rank, r.Status, age, r.Rounds, r.BarrierMs, skew,
 			strings.Join(rates, " "))
 	}
 
@@ -136,8 +115,6 @@ func render(p payload) string {
 	}
 	return b.String()
 }
-
-func statusCell(s health.Status) string { return s.String() }
 
 // humanRate renders events/s compactly (1.2k, 3.4M).
 func humanRate(v float64) string {

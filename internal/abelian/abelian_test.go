@@ -332,45 +332,26 @@ func TestFieldTagAllocatorReserved(t *testing.T) {
 	})
 }
 
-// TestFieldTagAllocatorServeReserved: the reserved control-tag range
-// [cluster.IncidentTag, cluster.CollectiveTag) — incident evidence, health
-// heartbeats, plus the serving control tags — is guarded exactly like the
-// collective tag: the allocator must hand out every tag below IncidentTag
-// and panic on the first field that would touch the range.
+// TestFieldTagAllocatorServeReserved: the allocator hands out every tag pair
+// below cluster.ReservedLo and panics on the first field whose tags would
+// reach the reserved band, instead of silently colliding with the control
+// traffic there.
 func TestFieldTagAllocatorServeReserved(t *testing.T) {
 	g := graph.Ring(8)
 	runCluster(g, 1, func(rt *Runtime) {
-		// Fields consume tag pairs (2k, 2k+1); every pair strictly below
-		// IncidentTag must allocate without panicking.
-		okFields := int(cluster.IncidentTag) / 2
+		// Fields consume tag pairs (2k, 2k+1).
+		okFields := int(cluster.ReservedLo) / 2
 		for i := 0; i < okFields; i++ {
 			rt.NewField(0, minU64)
 		}
 		defer func() {
 			if recover() == nil {
-				t.Errorf("allocating a field tag inside [IncidentTag, CollectiveTag] did not panic")
+				t.Errorf("allocating a field tag inside the reserved band did not panic")
 			}
 		}()
 		rt.NewField(0, minU64)
-		t.Errorf("no panic at the IncidentTag boundary (field %d)", okFields)
+		t.Errorf("no panic at the ReservedLo boundary (field %d)", okFields)
 	})
-}
-
-// TestReservedTagOrdering pins the layout of the reserved tag range: the
-// incident tag must sit strictly below every other reserved tag so the
-// allocator guard (which checks only the bottom of the range) covers all of
-// them, and the range must stay contiguous.
-func TestReservedTagOrdering(t *testing.T) {
-	if !(cluster.IncidentTag < cluster.HealthTag &&
-		cluster.HealthTag < cluster.ServeTagLo &&
-		cluster.ServeTagLo < cluster.CollectiveTag) {
-		t.Fatalf("reserved tag ordering violated: incident=%d health=%d serveLo=%d collective=%d",
-			cluster.IncidentTag, cluster.HealthTag, cluster.ServeTagLo, cluster.CollectiveTag)
-	}
-	if cluster.IncidentTag+1 != cluster.HealthTag {
-		t.Fatalf("gap between IncidentTag (%d) and HealthTag (%d): the reserved range must be contiguous",
-			cluster.IncidentTag, cluster.HealthTag)
-	}
 }
 
 // TestUpdatedOnlyTraffic: an idle round ships (nearly) nothing.

@@ -72,14 +72,11 @@ func (rt *Runtime) NewField(identity uint64, reduce func(a, b uint64) uint64) *F
 		tagReduce: rt.nextTag,
 		tagBcast:  rt.nextTag + 1,
 	}
-	// [cluster.IncidentTag, cluster.CollectiveTag] is reserved: collectives
-	// ride CollectiveTag, the serving layer's query/reply/control traffic
-	// rides the tags below it, health heartbeats ride HealthTag, and
-	// incident-capture evidence rides IncidentTag at the bottom. A field tag
-	// reaching the range would silently corrupt any of them.
-	if f.tagBcast >= cluster.IncidentTag {
-		panic(fmt.Sprintf("abelian: field tags %d/%d reach the reserved range [%d,%d] (too many fields on one runtime)",
-			f.tagReduce, f.tagBcast, cluster.IncidentTag, cluster.CollectiveTag))
+	// A field tag inside cluster's reserved band would silently corrupt
+	// the control traffic that rides it.
+	if f.tagBcast >= cluster.ReservedLo {
+		panic(fmt.Sprintf("abelian: field tags %d/%d reach the reserved band [%d,%d] (too many fields on one runtime)",
+			f.tagReduce, f.tagBcast, cluster.ReservedLo, cluster.CollectiveTag))
 	}
 	rt.nextTag += 2
 	if identity != 0 {

@@ -22,35 +22,25 @@ import (
 	"lcigraph/internal/parallel"
 )
 
-// CollectiveTag is the Exchange base tag reserved for cluster collectives
-// in out-of-process jobs. Frameworks allocate field tags from 0 upwards and
-// must stay below the whole reserved range [ServeTagLo, CollectiveTag].
-const CollectiveTag uint32 = 255
+// The top of the 8-bit base-tag space is reserved for control traffic that
+// runs alongside the frameworks' BSP exchanges. Frameworks allocate their
+// field tags from 0 upwards and must stay below ReservedLo; the values are
+// part of the wire format and never move.
+const (
+	// IncidentTag carries incident-capture requests and evidence
+	// (internal/incident).
+	IncidentTag uint32 = 248
+	// HealthTag carries peer health digests to rank 0 (internal/health).
+	HealthTag uint32 = 249
+	// ServeTagLo is the first of the serving layer's control tags
+	// (internal/serve), which run up to CollectiveTag.
+	ServeTagLo uint32 = 250
+	// CollectiveTag carries Barrier and Allreduce in out-of-process jobs.
+	CollectiveTag uint32 = 255
 
-// ServeTagLo is the bottom of the serving layer's reserved control-tag
-// range [ServeTagLo, CollectiveTag): internal/serve multiplexes its
-// query-scatter, reply-gather and drain-control traffic on these base tags,
-// concurrently with collective traffic on CollectiveTag. Frameworks must
-// allocate their field tags strictly below the whole reserved range, i.e.
-// below HealthTag.
-const ServeTagLo uint32 = 250
-
-// HealthTag carries the cluster health monitor's heartbeat digests
-// (internal/health): non-zero ranks post compact per-rank digests to rank 0
-// on this tag over the free-running comm layer, so rank 0 holds a
-// cluster-wide health view even when a peer's HTTP endpoint is unreachable.
-// It sits just below ServeTagLo.
-const HealthTag uint32 = 249
-
-// IncidentTag carries incident-capture control and evidence traffic
-// (internal/incident): capture requests fan out from rank 0 and every
-// rank's postmortem evidence blob (profiles, trace ring, metric snapshots)
-// rides back to rank 0 for bundling, all on the free-running comm layer —
-// the same transport the incident is about, which is exactly why evidence
-// shipping must not depend on a second control plane being healthy. It
-// extends the reserved range downward to [IncidentTag, CollectiveTag];
-// frameworks must allocate their field tags strictly below IncidentTag.
-const IncidentTag uint32 = 248
+	// ReservedLo is the bottom of the reserved band [ReservedLo, 255].
+	ReservedLo = IncidentTag
+)
 
 // Host is one host's context inside a job.
 type Host struct {

@@ -195,3 +195,15 @@ func TestRunRankBarrier(t *testing.T) {
 		}
 	})
 }
+
+// TestReservedTagOrdering pins the reserved band's layout: its values are
+// part of the wire format, every reserved tag lies in [ReservedLo, 255], and
+// the band is contiguous, so the allocator guard (which checks only
+// ReservedLo) covers all of them.
+func TestReservedTagOrdering(t *testing.T) {
+	got := [...]uint32{ReservedLo, IncidentTag, HealthTag, ServeTagLo, CollectiveTag}
+	want := [...]uint32{248, 248, 249, 250, 255}
+	if got != want {
+		t.Fatalf("reserved tags (lo, incident, health, serveLo, collective) = %v, want %v", got, want)
+	}
+}

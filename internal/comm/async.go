@@ -9,9 +9,8 @@ package comm
 // epoch (no per-tag call counter) and no expectation bookkeeping. Messages
 // simply accumulate in the layer's stash until the owner polls them out.
 //
-// The tag must come from the reserved control range (cluster.ServeTagLo and
-// up); frameworks allocate their field tags strictly below it, so async
-// traffic can never collide with a BSP exchange.
+// The tag must come from cluster's reserved band, which no framework
+// allocates from, so async traffic can never collide with a BSP exchange.
 
 // AsyncLayer is implemented by layers that support non-collective
 // point-to-point messaging on reserved tags. Like Exchange, PostTag and

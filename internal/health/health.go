@@ -15,7 +15,7 @@
 //
 // The judgments surface four ways: /healthz (machine-readable
 // OK/DEGRADED/UNHEALTHY, HTTP 200/503), /debug/health.json (full
-// time-series + the cluster view cmd/lci-top renders live), a structured
+// time-series + the cluster view lci-ops top renders live), a structured
 // JSONL ops-event log (alert fired/cleared, status transitions), and a
 // one-screen summary appended to every flight-recorder dump.
 //
@@ -198,7 +198,6 @@ type Monitor struct {
 	status        Status
 	det           detectState
 	peers         map[int]*peerState // rank 0: latest digest per peer rank
-	seenRemote    map[string]Alert   // rank 0: remote alert episodes observed
 
 	// Heartbeat state owned by the layer goroutine (Pump); never touched
 	// by the ticker.
@@ -267,13 +266,12 @@ func (m *Monitor) OpsEvent(kind string, fields map[string]any) {
 func New(opt Options) *Monitor {
 	opt.fill()
 	m := &Monitor{
-		opt:        opt,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		series:     map[string]*Series{},
-		alerts:     map[string]*alertState{},
-		peers:      map[int]*peerState{},
-		seenRemote: map[string]Alert{},
+		opt:    opt,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		series: map[string]*Series{},
+		alerts: map[string]*alertState{},
+		peers:  map[int]*peerState{},
 	}
 	if opt.OpsLogPath != "" {
 		ops, err := OpenOpsLog(opt.OpsLogPath)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lcigraph/internal/cluster"
 	"lcigraph/internal/comm"
 	lci "lcigraph/internal/core"
 	"lcigraph/internal/fabric"
@@ -450,6 +451,82 @@ func TestParkedServerNoFalseStall(t *testing.T) {
 		alerts := m.ActiveAlerts()
 		if len(alerts) != 1 || alerts[0].Name != AlertProgressStall || alerts[0].Shard != 0 {
 			t.Fatalf("alerts = %+v, want one progress_stall on shard 0", alerts)
+		}
+	})
+}
+
+// TestDigestAlertNamingAnotherRankUnlatches: a peer's digest may carry an
+// alert that names some other rank. Rank 0 must track that episode under the
+// sending peer, so it unlatches when it drops out of the peer's next digest
+// and a recurrence counts into fired_total again, instead of staying latched
+// (and held in memory) forever.
+func TestDigestAlertNamingAnotherRankUnlatches(t *testing.T) {
+	const p = 2
+	fab := fabric.New(p, fabric.TestProfile())
+	var layers [p]*comm.LCILayer
+	for r := range layers {
+		layers[r] = comm.NewLCILayer(fab.Endpoint(r), lci.Options{})
+		defer layers[r].Stop()
+	}
+	m := New(Options{Rank: 0, Ranks: p, Reg: telemetry.NewEnabled(0)})
+	m.Bind(layers[0])
+	other := Alert{Name: AlertProgressStall, Rank: 0, Shard: 1, Severity: SevWarn}
+	for i, alerts := range [][]Alert{{other}, nil, {other}} {
+		seq := int64(i + 1)
+		b, err := json.Marshal(Digest{Rank: 1, Seq: seq, Alerts: alerts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := layers[1].AllocBuf(len(b))
+		copy(buf, b)
+		layers[1].PostTag(0, cluster.HealthTag, buf)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			m.drainDigests(time.Now())
+			m.mu.Lock()
+			folded := m.peers[1] != nil && m.peers[1].d.Seq == seq
+			m.mu.Unlock()
+			if folded {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("digest %d never arrived", seq)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := m.FiredTotal(); got != 2 {
+		t.Fatalf("fired_total = %d after fire, clear, fire; want 2", got)
+	}
+}
+
+// FuzzDigest: a digest is bytes from the network. Folding any of them into
+// rank 0's monitor, then rendering its view and debug payload, must not
+// panic, and the view holds at most one row per rank.
+func FuzzDigest(f *testing.F) {
+	seed, err := json.Marshal(Digest{
+		Rank: 1, Seq: 1, Status: StatusDegraded, Rounds: 3, PollTotal: []int64{5, 7},
+		Alerts: []Alert{{Name: AlertProgressStall, Rank: 1, Shard: 1, Severity: SevWarn}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"rank":3,"seq":9,"status":"UNHEALTHY","alerts":[{"name":"x","rank":7},{"name":"x","rank":7}]}`))
+	f.Add([]byte(`{"rank":4,"seq":1}`))
+	f.Add([]byte(`{}`))
+	const ranks = 4
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m := New(Options{Rank: 0, Ranks: ranks, Reg: telemetry.NewEnabled(0)})
+		now := time.Now()
+		m.foldDigest(b, now)
+		m.foldDigest(b, now.Add(time.Second))
+		v := m.View()
+		if v.Ranks != ranks || len(v.RanksView) > v.Ranks {
+			t.Fatalf("view has %d rows for %d ranks", len(v.RanksView), v.Ranks)
+		}
+		if _, err := json.Marshal(m.DebugJSON()); err != nil {
+			t.Fatalf("debug payload does not encode: %v", err)
 		}
 	})
 }

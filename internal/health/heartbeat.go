@@ -35,6 +35,7 @@ type peerState struct {
 	prev       Digest
 	recvAt     time.Time
 	prevRecvAt time.Time
+	seen       map[string]bool // alert episodes active in d, by Alert.key
 }
 
 // pumpState is the heartbeat machinery owned by the layer-driving goroutine
@@ -130,53 +131,55 @@ func (m *Monitor) sendDigest(now time.Time) {
 }
 
 // drainDigests pulls every pending digest off the health tag and folds it
-// into rank 0's cluster view. Remote alert episodes count into firedTotal
-// once (keyed by name/rank/shard) and land in the ops log; an episode that
-// clears at its origin drops out of subsequent digests, which unlatches the
-// key so a recurrence counts again.
+// into rank 0's cluster view, logging and hooking the episodes it starts.
 func (m *Monitor) drainDigests(now time.Time) {
 	for {
 		msg, ok := m.hb.layer.RecvTag(cluster.HealthTag)
 		if !ok {
 			return
 		}
-		var d Digest
-		err := json.Unmarshal(msg.Data, &d)
+		fired := m.foldDigest(msg.Data, now)
 		msg.Release()
-		if err != nil || d.Rank <= 0 || d.Rank >= m.opt.Ranks {
-			continue
-		}
-		var fired []Alert
-		m.mu.Lock()
-		p := m.peers[d.Rank]
-		if p == nil {
-			p = &peerState{}
-			m.peers[d.Rank] = p
-		}
-		if d.Seq <= p.d.Seq { // stale or duplicate delivery
-			m.mu.Unlock()
-			continue
-		}
-		p.prev, p.prevRecvAt = p.d, p.recvAt
-		p.d, p.recvAt = d, now
-		active := map[string]bool{}
-		for _, a := range d.Alerts {
-			active[a.key()] = true
-			if _, seen := m.seenRemote[a.key()]; !seen {
-				m.seenRemote[a.key()] = a
-				m.firedTotal++
-				fired = append(fired, a)
-			}
-		}
-		for key, a := range m.seenRemote {
-			if a.Rank == d.Rank && !active[key] {
-				delete(m.seenRemote, key)
-			}
-		}
-		m.mu.Unlock()
 		for _, a := range fired {
 			m.ops.Event("alert_fired", opsAlertFields(a))
 		}
 		m.fireAlertHook(fired)
 	}
+}
+
+// foldDigest decodes one peer's digest and folds it into the cluster view,
+// returning the remote alert episodes it starts. The bytes come from the
+// network, so anything that does not decode, or names no peer rank, is
+// dropped. Episodes are tracked per sending peer, whatever rank an alert
+// names: each one counts into firedTotal once, and an episode that drops out
+// of its sender's next digest unlatches, so a recurrence counts again.
+func (m *Monitor) foldDigest(data []byte, now time.Time) []Alert {
+	var d Digest
+	if json.Unmarshal(data, &d) != nil || d.Rank <= 0 || d.Rank >= m.opt.Ranks {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := m.peers[d.Rank]
+	if p == nil {
+		p = &peerState{}
+		m.peers[d.Rank] = p
+	}
+	if d.Seq <= p.d.Seq { // stale or duplicate delivery
+		return nil
+	}
+	p.prev, p.prevRecvAt = p.d, p.recvAt
+	p.d, p.recvAt = d, now
+	var fired []Alert
+	seen := make(map[string]bool, len(d.Alerts))
+	for _, a := range d.Alerts {
+		k := a.key()
+		if !p.seen[k] && !seen[k] {
+			m.firedTotal++
+			fired = append(fired, a)
+		}
+		seen[k] = true
+	}
+	p.seen = seen
+	return fired
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // RankHealth is one row of the cluster view: rank 0's own state plus one
-// row per peer digest. lci-top renders these directly.
+// row per peer digest. lci-ops top renders these directly.
 type RankHealth struct {
 	Rank      int       `json:"rank"`
 	Status    Status    `json:"status"`
@@ -198,7 +198,7 @@ func (m *Monitor) DebugJSON() DebugPayload {
 }
 
 // ServeJSON is the /debug/health.json handler: the full view plus every
-// time series, the payload lci-top polls.
+// time series, the payload lci-ops top polls.
 func (m *Monitor) ServeJSON(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(m.DebugJSON())

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -174,7 +175,8 @@ func (c *Config) Join() (*Rank, error) {
 	}
 	r.Mon.Start()
 	if h.metrics != nil {
-		r.srv = r.serveMetrics(h.metrics, h.metricsAddrs)
+		r.srv = &http.Server{Handler: r.routes(h.metricsAddrs)}
+		go r.srv.Serve(h.metrics)
 	}
 	opt := bench.LCIOptions(r.Size, c.Threads)
 	opt.Shards = c.Shards
@@ -211,36 +213,53 @@ func (r *Rank) Run(body func(h *cluster.Host)) {
 	r.Prov.Close()
 }
 
-// serveMetrics starts the live telemetry endpoint on the inherited
-// listener. Rank 0 additionally serves /cluster(.json), scraping every
-// peer's /metrics.json and merging. Alongside the metrics, /debug/trace
-// (/flight) serve the lifecycle tracer — on rank 0 the trace document
-// merges every peer's, scraped from their /debug/trace?local=1 — and
-// /healthz (200 OK / 503 DEGRADED|UNHEALTHY) and /debug/health.json (the
-// judgment view plus every time series; what cmd/lci-top polls). With an
-// incident recorder, /debug/incident (capture status + continuous profile
-// inventory) and /debug/incident/capture (trigger an on-demand cross-rank
-// capture) join them.
-func (r *Rank) serveMetrics(ln net.Listener, addrs []string) *http.Server {
-	var clusterFn func() (*telemetry.Snapshot, error)
-	var mergedFn func() ([]byte, error)
-	if r.Rank == 0 {
-		clusterFn = func() (*telemetry.Snapshot, error) { return scrapeCluster(r.Reg, addrs) }
-		mergedFn = func() ([]byte, error) { return scrapeTraces(r.Tracer, r.Rank, addrs) }
-	}
+// routes is a rank's whole operator surface, one route per path (DESIGN.md
+// §11, "Operator surface"). Every route is registered whether or not its
+// subsystem is on, and a disabled one says so itself. Rank 0 alone serves
+// /cluster(.json) and merges every peer's trace, scraping the peers at
+// addrs on demand.
+func (r *Rank) routes(addrs []string) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/trace", tracing.Handler(r.Tracer, mergedFn))
-	mux.Handle("/debug/trace/", tracing.Handler(r.Tracer, mergedFn))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) { r.Reg.Snapshot().ServeProm(w) })
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) { r.Reg.Snapshot().ServeJSON(w) })
+	if r.Rank == 0 {
+		mux.HandleFunc("/cluster", r.serveCluster(addrs, (*telemetry.Snapshot).ServeProm))
+		mux.HandleFunc("/cluster.json", r.serveCluster(addrs, (*telemetry.Snapshot).ServeJSON))
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/debug/stacks", telemetry.ServeStacks)
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
+		// ?local=1 asks for this rank's own trace: what rank 0 scrapes.
+		var doc []byte
+		if r.Rank == 0 && r.Tracer != nil && req.URL.Query().Get("local") == "" {
+			if b, err := scrapeTraces(r.Tracer, r.Rank, addrs); err == nil {
+				doc = b
+			}
+		}
+		r.Tracer.ServeTrace(w, doc)
+	})
+	mux.HandleFunc("/debug/trace/flight", r.Tracer.ServeFlight)
 	mux.HandleFunc("/healthz", r.Mon.ServeHealthz)
 	mux.HandleFunc("/debug/health.json", r.Mon.ServeJSON)
-	if r.Rec != nil {
-		mux.HandleFunc("/debug/incident", r.Rec.ServeStatus)
-		mux.HandleFunc("/debug/incident/capture", r.Rec.ServeCapture)
+	mux.HandleFunc("/debug/incident", r.Rec.ServeStatus)
+	mux.HandleFunc("/debug/incident/capture", r.Rec.ServeCapture)
+	return mux
+}
+
+// serveCluster answers with every rank's snapshot merged, written by write.
+func (r *Rank) serveCluster(addrs []string, write func(*telemetry.Snapshot, http.ResponseWriter)) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		snap, err := scrapeCluster(r.Reg, addrs)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		write(snap, w)
 	}
-	mux.Handle("/", telemetry.Handler(r.Reg, clusterFn))
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return srv
 }
 
 // scrapeClient bounds every peer fetch.

@@ -3,58 +3,25 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	runtimepprof "runtime/pprof"
 	"sync/atomic"
 	"time"
 )
 
-// Handler serves a registry over HTTP (the lci-launch -metrics-addr
-// endpoint):
-//
-//	/metrics       Prometheus text format (this rank)
-//	/metrics.json  JSON snapshot (this rank)
-//	/cluster.json  merged all-rank JSON snapshot (when cluster is non-nil;
-//	               rank 0 scrapes its peers' /metrics.json on demand)
-//	/cluster       merged all-rank Prometheus text (same condition)
-//	/debug/pprof/  the standard Go profiler endpoints
-//
-// cluster may be nil (non-root ranks, or aggregation unavailable).
-func Handler(reg *Registry, cluster func() (*Snapshot, error)) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write([]byte(reg.Snapshot().Prometheus()))
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, reg.Snapshot())
-	})
-	if cluster != nil {
-		mux.HandleFunc("/cluster.json", func(w http.ResponseWriter, _ *http.Request) {
-			snap, err := cluster()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			writeJSON(w, snap)
-		})
-		mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-			snap, err := cluster()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			w.Write([]byte(snap.Prometheus()))
-		})
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/stacks", ServeStacks)
-	return mux
+// ServeProm writes the snapshot in Prometheus text format: the body of a
+// rank's /metrics and of rank 0's merged /cluster.
+func (s *Snapshot) ServeProm(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Write([]byte(s.Prometheus()))
+}
+
+// ServeJSON writes the snapshot as indented JSON: the body of a rank's
+// /metrics.json and of rank 0's merged /cluster.json.
+func (s *Snapshot) ServeJSON(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(s)
 }
 
 // stacksLastNs is the last time /debug/stacks served a dump (UnixNano),
@@ -84,11 +51,4 @@ func ServeStacks(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	runtimepprof.Lookup("goroutine").WriteTo(w, 2)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -223,7 +223,7 @@ func TestMergeShardLabeledHistograms(t *testing.T) {
 
 // TestQuantileExtremes pins q=0 and q=1: the minimum estimate must land at
 // the lower bound of the lowest occupied bucket and the maximum at the
-// upper bound of the highest occupied one — lci-incident's report prints
+// upper bound of the highest occupied one — lci-ops report prints
 // both ends of the latency distribution and must not invent values outside
 // the observed bucket range.
 func TestQuantileExtremes(t *testing.T) {
@@ -273,7 +273,7 @@ func TestQuantileSingleBucket(t *testing.T) {
 // coordinator vs a worker, or a rank whose evidence predates a metric's
 // first use) contribute disjoint metric names; the merge must keep every
 // series with its own value and aggregation mode, not drop or cross-wire
-// them. lci-incident diff merges per-rank evidence snapshots exactly this
+// them. lci-ops diff merges per-rank evidence snapshots exactly this
 // way.
 func TestMergeDisjointMetricSets(t *testing.T) {
 	r0 := NewEnabled(0)

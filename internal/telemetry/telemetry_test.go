@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -198,35 +196,6 @@ func TestPrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestHTTPHandler(t *testing.T) {
-	reg := NewEnabled(0)
-	reg.Counter("hits_total").Add(2)
-	h := Handler(reg, func() (*Snapshot, error) { return reg.Snapshot(), nil })
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	for _, tc := range []struct{ path, want string }{
-		{"/metrics", "# TYPE hits_total counter"},
-		{"/metrics.json", `"hits_total": 2`},
-		{"/cluster.json", `"hits_total": 2`},
-		{"/debug/pprof/", "profiles"},
-	} {
-		resp, err := srv.Client().Get(srv.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 || !strings.Contains(string(body), tc.want) {
-			t.Fatalf("%s: status %d, body %q (want substring %q)",
-				tc.path, resp.StatusCode, truncate(string(body), 200), tc.want)
-		}
-	}
-}
-
 func TestReportMentionsEverything(t *testing.T) {
 	reg := NewEnabled(0)
 	reg.Counter("a_total").Add(1)
@@ -281,11 +250,4 @@ func BenchmarkHistogramObserve(b *testing.B) {
 			h.Observe(64)
 		}
 	})
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
